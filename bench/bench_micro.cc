@@ -60,14 +60,12 @@ void BM_TransitionModelBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TransitionModelBuild);
 
-// Memory audit (ROADMAP): resident bytes per arc for the three view
-// configurations — walk-only (no CDF, no in-CSR), the default (in-CSR
-// only) and the full pre-audit layout (CDF + in-CSR).
+// Memory audit (ROADMAP): resident bytes per arc for the two view
+// configurations — walk-only (no in-CSR) and the default (in-CSR).
 void BM_TransitionModelViews(benchmark::State& state) {
   auto& f = Fixture();
   TransitionOptions opts;
-  opts.keep_cdf = state.range(0) == 2;
-  opts.build_in_csr = state.range(0) >= 1;
+  opts.build_in_csr = state.range(0) == 1;
   for (auto _ : state) {
     TransitionModel tm(f.g, f.scope, f.sims, opts);
     benchmark::DoNotOptimize(tm.MemoryBytes());
@@ -79,8 +77,7 @@ void BM_TransitionModelViews(benchmark::State& state) {
       static_cast<double>(tm.MemoryBytes()) /
       static_cast<double>(tm.NumArcs());
 }
-BENCHMARK(BM_TransitionModelViews)
-    ->Arg(0)->Arg(1)->Arg(2)->ArgName("views");
+BENCHMARK(BM_TransitionModelViews)->Arg(0)->Arg(1)->ArgName("views");
 
 void BM_StationaryDistribution(benchmark::State& state) {
   auto& f = Fixture();
@@ -231,11 +228,10 @@ void BM_WalkStepExactVsRejection(benchmark::State& state) {
 }
 BENCHMARK(BM_WalkStepExactVsRejection)->Arg(0)->Arg(1);
 
-// ---------- walk steps across node degrees: alias vs CDF rows ----------
+// ------- walk steps across node degrees: alias vs rejection rows -------
 
 // Star KG with the hub's row spanning `degree` heterogeneous arcs: the
-// worst case for the replaced per-step lower_bound, the common case for
-// hub-rooted scopes on real KGs.
+// common case for hub-rooted scopes on real KGs.
 struct StarFixture {
   KnowledgeGraph g;
   std::unique_ptr<FixedEmbedding> embedding;
@@ -270,9 +266,7 @@ StarFixture& Star(size_t degree) {
     f->sims = std::make_unique<PredicateSimilarityCache>(
         *f->embedding, f->g.PredicateIdOf("rel0"));
     auto scope = BoundedBfs(f->g, hub, 1);
-    TransitionOptions topts;
-    topts.keep_cdf = true;  // BM_WalkStepCdfByDegree times the stored CDF
-    f->tm = std::make_unique<TransitionModel>(f->g, scope, *f->sims, topts);
+    f->tm = std::make_unique<TransitionModel>(f->g, scope, *f->sims);
     it = cache.emplace(degree, std::move(f)).first;
   }
   return *it->second;
@@ -288,18 +282,6 @@ void BM_WalkStepAliasByDegree(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WalkStepAliasByDegree)
-    ->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
-
-void BM_WalkStepCdfByDegree(benchmark::State& state) {
-  auto& f = Star(static_cast<size_t>(state.range(0)));
-  Rng rng(31);
-  const size_t hub = f.tm->SourceLocal();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.tm->SampleNextCdf(hub, rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_WalkStepCdfByDegree)
     ->Arg(16)->Arg(256)->Arg(4096)->Arg(65536);
 
 void BM_WalkStepRejectionByDegree(benchmark::State& state) {
@@ -566,9 +548,9 @@ void BM_ServeAsyncLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeAsyncLatency)->Arg(1)->Arg(8)->ArgName("width");
 
-// Legacy batch path for comparison: RunAll exposes no per-query
-// completion times, so each query's "latency" is the whole batch wall
-// time — exactly the head-of-line cost SubmitAsync exists to remove.
+// Batch path for comparison: RunBatch exposes no per-query completion
+// times, so each query's "latency" is the whole batch wall time —
+// exactly the head-of-line cost SubmitAsync exists to remove.
 void BM_ServeBatchLatency(benchmark::State& state) {
   auto& f = ServeBench();
   ServiceOptions sopts;

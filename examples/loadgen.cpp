@@ -25,19 +25,13 @@
 //                      held under concurrent keep-alive submission.
 //   4. leak check    — after all clients disconnect, the server must
 //                      report zero open connections before Stop().
-//   5. baseline      — the same box, model=kBlockingThreads, one fresh
-//                      connection per request (the pre-event-loop wire
-//                      behavior), thread-per-slot closed loop. The
-//                      headline `speedup_vs_baseline` is
-//                      closed_loop.qps / baseline.qps.
 //
 // Emits BENCH_serve.json (override with --json=PATH). Exits non-zero if
 // the accounting identity breaks or any connection leaks at shutdown —
 // CI runs this as the serve-load gate.
 //
-// Flags: --connections=N (256) --seconds=S (10) --model=event|blocking
-//        --event-threads=N (2) --baseline-seconds=S (5)
-//        --baseline-connections=N (min(connections, 256)) --json=PATH
+// Flags: --connections=N (256) --seconds=S (10) --event-threads=N (2)
+//        --json=PATH
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -48,7 +42,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -90,17 +83,6 @@ int ConnectLoopback(uint16_t port) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
-}
-
-/// Abortive close (RST, no TIME_WAIT). The baseline opens a connection
-/// per request; orderly closes would exhaust the ephemeral port range
-/// with TIME_WAIT sockets in seconds at high request rates.
-void AbortiveClose(int fd) {
-  struct linger lg;
-  lg.l_onoff = 1;
-  lg.l_linger = 0;
-  ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
-  ::close(fd);
 }
 
 struct LatencySummary {
@@ -350,75 +332,6 @@ PhaseResult RunPhase(uint16_t port, size_t connections,
   return pr;
 }
 
-/// The pre-keep-alive wire behavior, measured honestly: T threads, each
-/// looping connect -> one request (Connection: close) -> full response ->
-/// abortive close. This is what every request cost before this PR.
-PhaseResult RunBaseline(uint16_t port, size_t threads_n, double seconds) {
-  std::atomic<bool> stop{false};
-  std::vector<WorkerResult> results(threads_n);
-  std::vector<std::thread> threads;
-  const std::string request =
-      "GET /healthz HTTP/1.1\r\nHost: l\r\nConnection: close\r\n\r\n";
-  const double t0 = NowMs();
-  for (size_t t = 0; t < threads_n; ++t) {
-    threads.emplace_back([&, t] {
-      WorkerResult& r = results[t];
-      char tmp[4096];
-      while (!stop.load(std::memory_order_relaxed)) {
-        const double sent_at = NowMs();
-        const int fd = ConnectLoopback(port);
-        if (fd < 0) {
-          ++r.errors;
-          continue;
-        }
-        size_t off = 0;
-        bool ok = true;
-        while (off < request.size()) {
-          const ssize_t n = ::send(fd, request.data() + off,
-                                   request.size() - off, MSG_NOSIGNAL);
-          if (n <= 0) {
-            ok = false;
-            break;
-          }
-          off += static_cast<size_t>(n);
-        }
-        while (ok) {  // server closes after the response
-          const ssize_t n = ::recv(fd, tmp, sizeof(tmp), 0);
-          if (n == 0) break;
-          if (n < 0) {
-            ok = false;
-            break;
-          }
-        }
-        AbortiveClose(fd);
-        if (ok) {
-          ++r.completed;
-          r.latencies_ms.push_back(NowMs() - sent_at);
-        } else {
-          ++r.errors;
-        }
-      }
-    });
-  }
-  std::this_thread::sleep_for(
-      std::chrono::duration<double>(seconds));
-  stop.store(true);
-  for (auto& t : threads) t.join();
-  const double elapsed_s = (NowMs() - t0) / 1000.0;
-
-  PhaseResult pr;
-  pr.seconds = elapsed_s;
-  std::vector<double> all;
-  for (WorkerResult& r : results) {
-    pr.completed += r.completed;
-    pr.errors += r.errors;
-    all.insert(all.end(), r.latencies_ms.begin(), r.latencies_ms.end());
-  }
-  pr.qps = pr.completed / std::max(1e-9, elapsed_s);
-  pr.lat = Summarize(all);
-  return pr;
-}
-
 void AppendPhaseJson(std::string& out, const PhaseResult& p) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
@@ -462,40 +375,25 @@ void PrintPhase(const char* name, const PhaseResult& p) {
 int main(int argc, char** argv) {
   size_t connections = 256;
   double seconds = 10.0;
-  double baseline_seconds = 5.0;
-  size_t baseline_connections = 0;  // 0: min(connections, 256)
   size_t event_threads = 2;
-  std::string model = "event";
   std::string json_path = "BENCH_serve.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--connections=", 14) == 0) {
       connections = std::strtoull(argv[i] + 14, nullptr, 10);
     } else if (std::strncmp(argv[i], "--seconds=", 10) == 0) {
       seconds = std::atof(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--baseline-seconds=", 19) == 0) {
-      baseline_seconds = std::atof(argv[i] + 19);
-    } else if (std::strncmp(argv[i], "--baseline-connections=", 23) == 0) {
-      baseline_connections = std::strtoull(argv[i] + 23, nullptr, 10);
     } else if (std::strncmp(argv[i], "--event-threads=", 16) == 0) {
       event_threads = std::strtoull(argv[i] + 16, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--model=", 8) == 0) {
-      model = argv[i] + 8;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--connections=N] [--seconds=S] "
-                   "[--model=event|blocking] [--event-threads=N] "
-                   "[--baseline-seconds=S] [--baseline-connections=N] "
-                   "[--json=PATH]\n",
+                   "[--event-threads=N] [--json=PATH]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (baseline_connections == 0) {
-    baseline_connections = std::min<size_t>(connections, 256);
-  }
-
   auto generated = KgGenerator::Generate(DatasetProfile::Mini(7));
   if (!generated.ok()) {
     std::fprintf(stderr, "dataset generation failed: %s\n",
@@ -517,15 +415,13 @@ int main(int argc, char** argv) {
   HttpServerOptions hopts;
   hopts.backlog = 1024;
   hopts.event_threads = event_threads;
-  hopts.model = model == "blocking" ? ServerModel::kBlockingThreads
-                                    : ServerModel::kEventLoop;
   HttpServer server(service, hopts);
   if (Status s = server.Start(); !s.ok()) {
     std::fprintf(stderr, "server start failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("loadgen: model=%s connections=%zu event_threads=%zu port=%u\n",
-              model.c_str(), connections, event_threads, server.port());
+  std::printf("loadgen: connections=%zu event_threads=%zu port=%u\n",
+              connections, event_threads, server.port());
 
   const std::string healthz =
       "GET /healthz HTTP/1.1\r\nHost: l\r\n\r\n";
@@ -587,42 +483,11 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(server_stats.loop_wakeups), leaked);
   server.Stop();
 
-  // Phase 5: the thread-per-connection, connection-per-request baseline.
-  PhaseResult baseline;
-  if (baseline_seconds > 0) {
-    QueryService bsvc(ctx, sopts);
-    // The pre-event-loop server at its stock configuration: this is
-    // exactly what the front door was before this change.
-    HttpServerOptions bopts;
-    bopts.backlog = 1024;
-    bopts.model = ServerModel::kBlockingThreads;
-    HttpServer bserver(bsvc, bopts);
-    if (Status s = bserver.Start(); !s.ok()) {
-      std::fprintf(stderr, "baseline start failed: %s\n",
-                   s.ToString().c_str());
-      return 1;
-    }
-    baseline = MedianOf3([&] {
-      return RunBaseline(bserver.port(), baseline_connections,
-                         baseline_seconds / 3.0);
-    });
-    PrintPhase("baseline", baseline);
-    bserver.Stop();
-  }
-
-  const double speedup =
-      baseline.qps > 0 ? closed.qps / baseline.qps : 0.0;
-  std::printf("speedup_vs_baseline: %.1fx (%zu keep-alive conns vs %zu "
-              "close-per-request threads)\n",
-              speedup, connections, baseline_connections);
-
   std::string json = "{\n  \"config\":{\"connections\":" +
                      std::to_string(connections) +
                      ",\"seconds\":" + std::to_string(seconds) +
-                     ",\"model\":\"" + model +
-                     "\",\"event_threads\":" + std::to_string(event_threads) +
-                     ",\"baseline_connections\":" +
-                     std::to_string(baseline_connections) + "},\n";
+                     ",\"event_threads\":" + std::to_string(event_threads) +
+                     "},\n";
   json += "  \"closed_loop\":";
   AppendPhaseJson(json, closed);
   json += ",\n  \"open_loop\":[";
@@ -632,15 +497,12 @@ int main(int argc, char** argv) {
   }
   json += "],\n  \"query_traffic\":";
   AppendPhaseJson(json, queries);
-  json += ",\n  \"baseline\":";
-  AppendPhaseJson(json, baseline);
   char tail[512];
   std::snprintf(tail, sizeof(tail),
-                ",\n  \"speedup_vs_baseline\":%.2f,\n"
-                "  \"accounting_identity_holds\":%s,\n"
+                ",\n  \"accounting_identity_holds\":%s,\n"
                 "  \"leaked_connections\":%zu,\n"
                 "  \"keepalive_reuses\":%llu\n}\n",
-                speedup, identity_ok ? "true" : "false", leaked,
+                identity_ok ? "true" : "false", leaked,
                 static_cast<unsigned long long>(
                     server_stats.keepalive_reuses));
   json += tail;

@@ -399,9 +399,6 @@ class QuerySession {
   StopCause stop_cause_ = StopCause::kNone;
 };
 
-/// Pre-refactor name for QuerySession, kept for source compatibility.
-using InteractiveSession = QuerySession;
-
 }  // namespace kgaq
 
 #endif  // KGAQ_CORE_APPROX_ENGINE_H_

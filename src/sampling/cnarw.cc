@@ -61,14 +61,6 @@ class CommonNeighborOracle {
 
 TransitionModel BuildCnarwTransitionModel(const KnowledgeGraph& g,
                                           const BoundedSubgraph& scope,
-                                          double self_loop_similarity) {
-  TransitionOptions options;
-  options.self_loop_similarity = self_loop_similarity;
-  return BuildCnarwTransitionModel(g, scope, options);
-}
-
-TransitionModel BuildCnarwTransitionModel(const KnowledgeGraph& g,
-                                          const BoundedSubgraph& scope,
                                           const TransitionOptions& options) {
   auto oracle = std::make_shared<CommonNeighborOracle>(g);
   return TransitionModel(

@@ -16,15 +16,13 @@ namespace kgaq {
 /// floored at a small positive value. It ignores predicate semantics
 /// entirely — which is exactly the deficiency the paper's semantic-aware
 /// walk fixes.
-TransitionModel BuildCnarwTransitionModel(const KnowledgeGraph& g,
-                                          const BoundedSubgraph& scope,
-                                          double self_loop_similarity = 0.001);
-
-/// Same, with explicit view gating: walk-only consumers (step sampling
-/// without a stationary solve) can drop the incoming-arc CSR.
-TransitionModel BuildCnarwTransitionModel(const KnowledgeGraph& g,
-                                          const BoundedSubgraph& scope,
-                                          const TransitionOptions& options);
+///
+/// `options` gates the derived views as for any TransitionModel: walk-only
+/// consumers (step sampling without a stationary solve) can drop the
+/// incoming-arc CSR.
+TransitionModel BuildCnarwTransitionModel(
+    const KnowledgeGraph& g, const BoundedSubgraph& scope,
+    const TransitionOptions& options = {});
 
 }  // namespace kgaq
 

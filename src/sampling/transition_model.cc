@@ -6,22 +6,6 @@
 
 namespace kgaq {
 
-namespace {
-
-TransitionOptions LegacyOptions(double self_loop_similarity) {
-  TransitionOptions options;
-  options.self_loop_similarity = self_loop_similarity;
-  return options;
-}
-
-}  // namespace
-
-TransitionModel::TransitionModel(const KnowledgeGraph& g,
-                                 const BoundedSubgraph& scope,
-                                 const PredicateSimilarityCache& sims,
-                                 double self_loop_similarity)
-    : TransitionModel(g, scope, sims, LegacyOptions(self_loop_similarity)) {}
-
 TransitionModel::TransitionModel(const KnowledgeGraph& g,
                                  const BoundedSubgraph& scope,
                                  const PredicateSimilarityCache& sims,
@@ -33,13 +17,6 @@ TransitionModel::TransitionModel(const KnowledgeGraph& g,
       },
       options);
 }
-
-TransitionModel::TransitionModel(const KnowledgeGraph& g,
-                                 const BoundedSubgraph& scope,
-                                 const ArcWeightFn& weight_fn,
-                                 double self_loop_similarity)
-    : TransitionModel(g, scope, weight_fn,
-                      LegacyOptions(self_loop_similarity)) {}
 
 TransitionModel::TransitionModel(const KnowledgeGraph& g,
                                  const BoundedSubgraph& scope,
@@ -70,7 +47,6 @@ void TransitionModel::BuildArcs(const KnowledgeGraph& g,
   }
   const size_t num_arcs = offsets_[n];
   arcs_.resize(num_arcs);
-  if (options.keep_cdf) cumulative_.resize(num_arcs);
   max_prob_.assign(n, 0.0);
   alias_prob_.resize(num_arcs);
   alias_index_.resize(num_arcs);
@@ -94,16 +70,13 @@ void TransitionModel::BuildArcs(const KnowledgeGraph& g,
       arcs_[cursor++] = {v, w};
       total += w;
     }
-    // Normalize this row and build its cumulative distribution (Eq. 5's
-    // constraint: probabilities out of u sum to one).
+    // Normalize this row (Eq. 5's constraint: probabilities out of u sum
+    // to one) and build its alias row.
     const size_t begin = offsets_[local];
     const size_t end = offsets_[local + 1];
-    double acc = 0.0;
     row_weights.clear();
     for (size_t k = begin; k < end; ++k) {
       arcs_[k].probability /= total;
-      acc += arcs_[k].probability;
-      if (options.keep_cdf) cumulative_[k] = acc;
       max_prob_[local] = std::max(max_prob_[local], arcs_[k].probability);
       row_weights.push_back(arcs_[k].probability);
       if (options.build_in_csr) {
@@ -111,7 +84,6 @@ void TransitionModel::BuildArcs(const KnowledgeGraph& g,
       }
     }
     if (end > begin) {
-      if (options.keep_cdf) cumulative_[end - 1] = 1.0;  // rounding guard
       row_builder.BuildRow(
           row_weights, std::span<double>(alias_prob_.data() + begin, end - begin),
           std::span<uint32_t>(alias_index_.data() + begin, end - begin));
@@ -139,34 +111,11 @@ size_t TransitionModel::MemoryBytes() const {
          locals_.capacity() * sizeof(uint32_t) +
          offsets_.capacity() * sizeof(size_t) +
          arcs_.capacity() * sizeof(Arc) +
-         cumulative_.capacity() * sizeof(double) +
          max_prob_.capacity() * sizeof(double) +
          alias_prob_.capacity() * sizeof(double) +
          alias_index_.capacity() * sizeof(uint32_t) +
          in_offsets_.capacity() * sizeof(size_t) +
          in_arcs_.capacity() * sizeof(InArc);
-}
-
-size_t TransitionModel::SampleNextCdf(size_t local, Rng& rng) const {
-  const size_t begin = offsets_[local];
-  const size_t end = offsets_[local + 1];
-  const double target = rng.NextDouble();
-  if (cumulative_.empty()) {
-    // keep_cdf off: walk the same partial sums the stored CDF would hold.
-    // The stored version pins the row's final entry to exactly 1.0, so a
-    // target past the accumulated total likewise lands on the last arc.
-    double acc = 0.0;
-    for (size_t k = begin; k < end; ++k) {
-      acc += arcs_[k].probability;
-      if (target <= acc || k + 1 == end) return arcs_[k].target;
-    }
-    return arcs_[end - 1].target;
-  }
-  auto first = cumulative_.begin() + begin;
-  auto last = cumulative_.begin() + end;
-  auto it = std::lower_bound(first, last, target);
-  if (it == last) --it;
-  return arcs_[static_cast<size_t>(it - cumulative_.begin())].target;
 }
 
 size_t TransitionModel::SampleNextRejection(size_t local, Rng& rng) const {

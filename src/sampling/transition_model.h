@@ -15,16 +15,11 @@ namespace kgaq {
 /// Which derived per-arc views a TransitionModel materializes beyond the
 /// outgoing CSR + alias rows (always built; they are the walk hot path).
 ///
-/// The full set costs ~52 bytes/arc; walk-only models (pure sampling, no
-/// stationary solve, no CDF baseline) get by with ~28 bytes/arc.
+/// The default set costs ~44 bytes/arc; walk-only models (pure
+/// sampling, no stationary solve) get by with ~28 bytes/arc.
 struct TransitionOptions {
   /// Lemma 2 self-loop similarity injected at the walk source.
   double self_loop_similarity = 0.001;
-  /// Materialize the per-arc cumulative distribution behind SampleNextCdf
-  /// (+8 bytes/arc). Off by default: the alias rows serve exact draws in
-  /// O(1), so only the CDF-baseline benches/tests need this. Without it
-  /// SampleNextCdf falls back to a linear row scan (same draws, slower).
-  bool keep_cdf = false;
   /// Materialize the incoming-arc CSR (+16 bytes/arc) that the gather-based
   /// stationary solver sweeps. On by default; walk-only uses (step sampling
   /// without ComputeStationaryDistribution) can drop it — the solver then
@@ -71,18 +66,12 @@ class TransitionModel {
   /// sim(L_G(e'), L_Q(e)).
   TransitionModel(const KnowledgeGraph& g, const BoundedSubgraph& scope,
                   const PredicateSimilarityCache& sims,
-                  double self_loop_similarity = 0.001);
-  TransitionModel(const KnowledgeGraph& g, const BoundedSubgraph& scope,
-                  const PredicateSimilarityCache& sims,
-                  const TransitionOptions& options);
+                  const TransitionOptions& options = {});
 
   /// Builds a model with arbitrary positive arc weights (CNARW etc.).
   TransitionModel(const KnowledgeGraph& g, const BoundedSubgraph& scope,
                   const ArcWeightFn& weight_fn,
-                  double self_loop_similarity = 0.001);
-  TransitionModel(const KnowledgeGraph& g, const BoundedSubgraph& scope,
-                  const ArcWeightFn& weight_fn,
-                  const TransitionOptions& options);
+                  const TransitionOptions& options = {});
 
   size_t NumScopeNodes() const { return globals_.size(); }
 
@@ -120,10 +109,6 @@ class TransitionModel {
   /// True when the incoming-arc CSR was materialized.
   bool has_in_csr() const { return !in_offsets_.empty(); }
 
-  /// True when the per-arc cumulative distribution was materialized
-  /// (TransitionOptions::keep_cdf).
-  bool has_cdf() const { return !cumulative_.empty(); }
-
   /// Resident bytes of every materialized per-arc/per-node view; drives
   /// the ROADMAP memory audit (bytes/arc before vs after gating).
   size_t MemoryBytes() const;
@@ -140,13 +125,6 @@ class TransitionModel {
     return arcs_[k].target;
   }
 
-  /// Reference draw via binary search over per-node cumulative sums — the
-  /// pre-alias O(log degree) hot path, kept as the distribution baseline
-  /// for tests and the micro bench. Requires TransitionOptions::keep_cdf
-  /// for the O(log degree) path; without it a linear row scan over the
-  /// same partial sums produces the identical draw.
-  size_t SampleNextCdf(size_t local, Rng& rng) const;
-
   /// Draws the next node with the paper's walking-with-rejection policy:
   /// pick a uniform neighbor, accept with probability proportional to its
   /// transition weight; repeat until accepted. Distributionally equivalent
@@ -162,8 +140,7 @@ class TransitionModel {
   std::vector<uint32_t> locals_;   // global -> local (kInvalidId outside)
   std::vector<size_t> offsets_;    // CSR offsets into arcs_
   std::vector<Arc> arcs_;
-  std::vector<double> cumulative_;  // per-arc cumulative (keep_cdf only)
-  std::vector<double> max_prob_;    // per-node max arc probability
+  std::vector<double> max_prob_;   // per-node max arc probability
 
   // Pooled per-node alias rows, sharing offsets_. alias_index_ entries are
   // row-local, so one uint32 suffices regardless of pool size.

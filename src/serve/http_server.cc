@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -109,10 +110,8 @@ const char* ReasonPhrase(int code) {
 }
 
 /// `extra_headers` must be "" or complete "Name: value\r\n" lines.
-/// `keep_alive` picks the Connection header; the event-loop server keeps
-/// the socket open exactly when it says keep-alive, the blocking model
-/// always passes false (its historical one-request-per-connection wire
-/// behavior).
+/// `keep_alive` picks the Connection header; the server keeps the socket
+/// open exactly when it says keep-alive.
 std::string MakeResponse(int code, const std::string& content_type,
                          const std::string& body, bool keep_alive,
                          const std::string& extra_headers = "") {
@@ -195,6 +194,19 @@ std::optional<uint64_t> ParseUint64Value(const std::string& s) {
   auto [ptr, ec] = std::from_chars(begin, end, v);
   if (ec != std::errc() || ptr != end || s.empty()) return std::nullopt;
   return v;
+}
+
+/// The `wait` parameter of a /result query string: 0 when absent,
+/// nullopt when unparseable.
+std::optional<double> WaitParam(const std::string& query_string) {
+  double wait_ms = 0.0;
+  for (const auto& [key, value] : ParseQueryParams(query_string)) {
+    if (key != "wait") continue;
+    auto w = ParseDoubleValue(value);
+    if (!w.has_value()) return std::nullopt;
+    wait_ms = *w;
+  }
+  return wait_ms;
 }
 
 void AppendResultJson(std::string& out, const AggregateResult& r) {
@@ -485,29 +497,53 @@ struct ParsedResponseHead {
   double retry_after_s = 0.0;
 };
 
+std::string AsciiLower(std::string s) {
+  for (char& c : s) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return s;
+}
+
+/// Value of the first header line called `name` in an HTTP head (start
+/// line, then CRLF-separated header lines, without the terminating blank
+/// line), trimmed of surrounding blanks; nullopt when no line has that
+/// name. Names match case-insensitively and only at the start of a
+/// header line, so neither the start line's target nor a longer name
+/// ending in `name` (X-Content-Length, Proxy-Connection) can supply it.
+/// `name` must be lower case.
+std::optional<std::string> HeaderValue(const std::string& head,
+                                       std::string_view name) {
+  size_t eol = head.find("\r\n");  // skip the start line
+  while (eol != std::string::npos) {
+    const size_t begin = eol + 2;
+    eol = head.find("\r\n", begin);
+    const size_t end = eol == std::string::npos ? head.size() : eol;
+    if (end - begin <= name.size() || head[begin + name.size()] != ':' ||
+        AsciiLower(head.substr(begin, name.size())) != name) {
+      continue;
+    }
+    size_t v = begin + name.size() + 1;
+    size_t e = end;
+    while (v < e && (head[v] == ' ' || head[v] == '\t')) ++v;
+    while (e > v && (head[e - 1] == ' ' || head[e - 1] == '\t')) --e;
+    return head.substr(v, e - v);
+  }
+  return std::nullopt;
+}
+
 bool ParseResponseHead(const std::string& head, ParsedResponseHead& out) {
   const size_t sp = head.find(' ');
   if (head.rfind("HTTP/", 0) != 0 || sp == std::string::npos) return false;
   out.status_code = std::atoi(head.c_str() + sp + 1);
-  std::string lower = head;
-  for (char& c : lower) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  size_t pos = lower.find("content-length:");
-  if (pos != std::string::npos) {
+  if (auto length = HeaderValue(head, "content-length")) {
     out.have_length = true;
-    out.content_length = std::strtoull(head.c_str() + pos + 15, nullptr, 10);
+    out.content_length = std::strtoull(length->c_str(), nullptr, 10);
   }
-  pos = lower.find("retry-after:");
-  if (pos != std::string::npos) {
-    out.retry_after_s = std::strtod(head.c_str() + pos + 12, nullptr);
+  if (auto retry = HeaderValue(head, "retry-after")) {
+    out.retry_after_s = std::strtod(retry->c_str(), nullptr);
   }
-  pos = lower.find("connection:");
-  if (pos != std::string::npos) {
-    size_t line_end = lower.find("\r\n", pos);
-    if (line_end == std::string::npos) line_end = lower.size();
-    out.close =
-        lower.substr(pos, line_end - pos).find("close") != std::string::npos;
+  if (auto conn = HeaderValue(head, "connection")) {
+    out.close = AsciiLower(*conn).find("close") != std::string::npos;
   }
   return true;
 }
@@ -772,36 +808,12 @@ class HttpServer::EventLoop {
       const std::string target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
       const std::string version = request_line.substr(sp2 + 1);
 
-      // Header scan (case-insensitive): Content-Length frames the body,
-      // Connection decides keep-alive.
-      std::string lower = head;
-      for (char& ch : lower) {
-        ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-      }
-      size_t content_length = 0;
-      {
-        const size_t pos = lower.find("content-length:");
-        if (pos != std::string::npos) {
-          content_length =
-              std::strtoull(head.c_str() + pos + 15, nullptr, 10);
-        }
-      }
-      std::string conn_token;
-      {
-        const size_t pos = lower.find("connection:");
-        if (pos != std::string::npos) {
-          size_t v = pos + 11;
-          while (v < lower.size() && (lower[v] == ' ' || lower[v] == '\t')) {
-            ++v;
-          }
-          size_t e = lower.find("\r\n", v);
-          if (e == std::string::npos) e = lower.size();
-          while (e > v && (lower[e - 1] == ' ' || lower[e - 1] == '\t')) {
-            --e;
-          }
-          conn_token = lower.substr(v, e - v);
-        }
-      }
+      // Content-Length frames the body, Connection decides keep-alive.
+      const size_t content_length = std::strtoull(
+          HeaderValue(head, "content-length").value_or("0").c_str(), nullptr,
+          10);
+      const std::string conn_token =
+          AsciiLower(HeaderValue(head, "connection").value_or(""));
       if (content_length > server_.options_.max_request_bytes) {
         Fail(c, 413, "body exceeds limit");
         break;
@@ -866,28 +878,18 @@ class HttpServer::EventLoop {
       return;
     }
 
-    if (method == "GET" && path.rfind("/result/", 0) == 0) {
-      double wait_ms = 0.0;
-      bool wait_ok = true;
-      for (const auto& [key, value] : ParseQueryParams(query_string)) {
-        if (key != "wait") continue;
-        auto w = ParseDoubleValue(value);
-        if (!w.has_value()) {
-          wait_ok = false;
-          break;
-        }
-        wait_ms = *w;
-      }
-      if (wait_ok && wait_ms > 0.0) {
+    if (path.rfind("/result/", 0) == 0) {
+      const std::optional<double> wait_ms = WaitParam(query_string);
+      if (wait_ms.value_or(0.0) > 0.0) {
         std::optional<QueryTicket> ticket =
             server_.FindTicket(path.substr(8));
         if (ticket.has_value() && !IsTerminalState(ticket->Poll().state)) {
-          BeginWait(c, *ticket, wait_ms, keep_alive);
+          BeginWait(c, *ticket, *wait_ms, keep_alive);
           return;
         }
       }
       // Unknown id, unparseable wait, or already-terminal ticket:
-      // Dispatch answers immediately (its WaitFor returns at once).
+      // Dispatch answers immediately.
     }
 
     std::string response =
@@ -1178,34 +1180,22 @@ Status HttpServer::Start() {
   }
 
   stopping_.store(false);
-  if (options_.model == ServerModel::kEventLoop) {
-    const size_t nloops = std::max<size_t>(1, options_.event_threads);
-    loops_.reserve(nloops);
-    for (size_t i = 0; i < nloops; ++i) {
-      loops_.emplace_back(std::make_unique<EventLoop>(*this));
-      Status st = loops_.back()->Start();
-      if (!st.ok()) {
-        for (auto& loop : loops_) loop->Stop();
-        loops_.clear();
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        return st;
-      }
+  const size_t nloops = std::max<size_t>(1, options_.event_threads);
+  loops_.reserve(nloops);
+  for (size_t i = 0; i < nloops; ++i) {
+    loops_.emplace_back(std::make_unique<EventLoop>(*this));
+    Status st = loops_.back()->Start();
+    if (!st.ok()) {
+      for (auto& loop : loops_) loop->Stop();
+      loops_.clear();
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+      return st;
     }
-    accept_thread_ =
-        std::thread([this, fd = listen_fd_] { AcceptLoopEvented(fd); });
-    return Status::OK();
   }
-
   // The accept thread works on its own copy of the fd, so Stop() never
   // races its reads; the fd itself is closed only after the join.
-  accept_thread_ =
-      std::thread([this, fd = listen_fd_] { AcceptLoopBlocking(fd); });
-  const size_t handlers = std::max<size_t>(1, options_.num_handler_threads);
-  handlers_.reserve(handlers);
-  for (size_t i = 0; i < handlers; ++i) {
-    handlers_.emplace_back([this] { HandlerLoop(); });
-  }
+  accept_thread_ = std::thread([this, fd = listen_fd_] { AcceptLoop(fd); });
   return Status::OK();
 }
 
@@ -1218,28 +1208,13 @@ void HttpServer::Stop() {
     // recycled under a still-running accept().
     ::shutdown(listen_fd_, SHUT_RDWR);
   }
-  {
-    // Taken-and-released around the flag so a handler that already
-    // evaluated its wait predicate cannot block between this store and
-    // the notify (the classic missed-wakeup race).
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    stopping_.store(true);
-  }
-  conn_available_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  for (std::thread& t : handlers_) {
-    if (t.joinable()) t.join();
-  }
-  handlers_.clear();
   for (auto& loop : loops_) loop->Stop();
   loops_.clear();
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  for (int fd : connections_) ::close(fd);
-  connections_.clear();
 }
 
 HttpServer::Stats HttpServer::stats() const {
@@ -1259,7 +1234,7 @@ HttpServer::Stats HttpServer::stats() const {
   return out;
 }
 
-void HttpServer::AcceptLoopEvented(int listen_fd) {
+void HttpServer::AcceptLoop(int listen_fd) {
   size_t next = 0;
   for (;;) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
@@ -1284,162 +1259,6 @@ void HttpServer::AcceptLoopEvented(int listen_fd) {
     loops_[next]->AddConnection(fd);
     next = (next + 1) % loops_.size();
   }
-}
-
-void HttpServer::AcceptLoopBlocking(int listen_fd) {
-  for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (stopping_.load()) {
-      if (fd >= 0) ::close(fd);
-      return;
-    }
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener closed
-    }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      connections_.push_back(fd);
-    }
-    conn_available_.notify_one();
-  }
-}
-
-void HttpServer::HandlerLoop() {
-  for (;;) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(conn_mu_);
-      conn_available_.wait(lock, [&] {
-        return stopping_.load() || !connections_.empty();
-      });
-      if (stopping_.load() && connections_.empty()) return;
-      fd = connections_.front();
-      connections_.pop_front();
-    }
-    HandleConnection(fd);
-  }
-}
-
-void HttpServer::HandleConnection(int fd) {
-  const auto set_timeout = [fd](int which, double ms) {
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(ms / 1000.0);
-    tv.tv_usec = static_cast<suseconds_t>(static_cast<long>(ms * 1000.0) %
-                                          1000000);
-    ::setsockopt(fd, SOL_SOCKET, which, &tv, sizeof(tv));
-  };
-  set_timeout(SO_RCVTIMEO, options_.read_timeout_ms);
-  set_timeout(SO_SNDTIMEO, options_.write_timeout_ms);
-
-  // Per-recv timeouts alone don't stop a slow-loris client that feeds a
-  // byte every few seconds; the whole connection also runs against one
-  // wall-clock deadline.
-  const auto conn_deadline =
-      std::chrono::steady_clock::now() +
-      MsDuration(options_.connection_deadline_ms);
-  const auto past_deadline = [&conn_deadline] {
-    return std::chrono::steady_clock::now() >= conn_deadline;
-  };
-
-  std::string buf;
-  size_t header_end = std::string::npos;
-  char chunk[4096];
-  while (header_end == std::string::npos) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0 || KGAQ_FAULT_POINT("http.conn.read_error")) {
-      ::close(fd);
-      return;  // timeout, reset, or client gave up mid-head
-    }
-    buf.append(chunk, static_cast<size_t>(n));
-    header_end = buf.find("\r\n\r\n");
-    if (buf.size() > options_.max_request_bytes) {
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      SendAll(fd, JsonError(413, "request exceeds limit", false));
-      ::close(fd);
-      return;
-    }
-    if (header_end == std::string::npos && past_deadline()) {
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      SendAll(fd,
-              JsonError(408, "connection deadline exceeded mid-head", false));
-      ::close(fd);
-      return;
-    }
-  }
-  requests_.fetch_add(1, std::memory_order_relaxed);
-
-  // Request line: METHOD SP TARGET SP VERSION.
-  const std::string head = buf.substr(0, header_end);
-  const size_t line_end = head.find("\r\n");
-  const std::string request_line =
-      line_end == std::string::npos ? head : head.substr(0, line_end);
-  const size_t sp1 = request_line.find(' ');
-  const size_t sp2 =
-      sp1 == std::string::npos ? std::string::npos
-                               : request_line.find(' ', sp1 + 1);
-  if (sp1 == std::string::npos || sp2 == std::string::npos) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    SendAll(fd, JsonError(400, "malformed request line", false));
-    ::close(fd);
-    return;
-  }
-  const std::string method = request_line.substr(0, sp1);
-  const std::string target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
-
-  // Body by Content-Length (case-insensitive header scan).
-  size_t content_length = 0;
-  {
-    std::string lower = head;
-    for (char& c : lower) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-    const size_t pos = lower.find("content-length:");
-    if (pos != std::string::npos) {
-      content_length = std::strtoull(head.c_str() + pos + 15, nullptr, 10);
-    }
-  }
-  if (content_length > options_.max_request_bytes) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    SendAll(fd, JsonError(413, "body exceeds limit", false));
-    ::close(fd);
-    return;
-  }
-  std::string body = buf.substr(header_end + 4);
-  while (body.size() < content_length) {
-    if (past_deadline()) {
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      SendAll(fd,
-              JsonError(408, "connection deadline exceeded mid-body", false));
-      ::close(fd);
-      return;
-    }
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0 || KGAQ_FAULT_POINT("http.conn.read_error")) {
-      // A stalled or reset client left the body short. Never dispatch a
-      // truncated body: a wire-format prefix cut at a clause boundary is
-      // itself a valid (different) query.
-      bad_requests_.fetch_add(1, std::memory_order_relaxed);
-      SendAll(fd, JsonError(400,
-                            "body truncated: got " +
-                                std::to_string(body.size()) + " of " +
-                                std::to_string(content_length) +
-                                " Content-Length bytes",
-                            false));
-      ::close(fd);
-      return;
-    }
-    body.append(chunk, static_cast<size_t>(n));
-  }
-  body.resize(content_length);
-
-  const std::string response =
-      Dispatch(method, target, body, /*keep_alive=*/false);
-  SendAll(fd, response);
-  ::close(fd);
 }
 
 HttpServer::PreparedSubmit HttpServer::PrepareSubmit(
@@ -1618,9 +1437,8 @@ std::string HttpServer::Dispatch(const std::string& method,
     out += "\"requests\":" + std::to_string(h.requests);
     out += ",\"bad_requests\":" + std::to_string(h.bad_requests);
     out += "},\"server\":{";
-    // Front-door counters (all zero under kBlockingThreads, whose
-    // connections are one-shot and untracked): the per-stage profiler
-    // view of the event loops.
+    // Front-door counters: the per-stage profiler view of the event
+    // loops.
     out += "\"connections_accepted\":" +
            std::to_string(h.connections_accepted);
     out += ",\"open_connections\":" + std::to_string(h.open_connections);
@@ -1674,13 +1492,8 @@ std::string HttpServer::Dispatch(const std::string& method,
   }
 
   if (path == "/query") {
-    if (method != "POST") {
-      return bad(405, "submit queries with POST /query");
-    }
-    PreparedSubmit prep = PrepareSubmit(query_string, body);
-    if (!prep.ok) return prep.error_response;
-    QueryTicket ticket = service_.SubmitAsync(std::move(prep.request));
-    return FinishSubmit(prep, std::move(ticket), keep_alive);
+    // POST /query never reaches Dispatch: the loop batches it.
+    return bad(405, "submit queries with POST /query");
   }
 
   if (path.rfind("/result/", 0) == 0) {
@@ -1688,18 +1501,10 @@ std::string HttpServer::Dispatch(const std::string& method,
     if (!ticket.has_value()) {
       return bad(404, "unknown query id '" + path.substr(8) + "'");
     }
-    double wait_ms = 0.0;
-    for (const auto& [key, value] : ParseQueryParams(query_string)) {
-      if (key != "wait") continue;
-      auto w = ParseDoubleValue(value);
-      if (!w.has_value()) return bad(400, "unparseable wait value");
-      wait_ms = *w;
-    }
-    if (wait_ms > 0.0) {
-      // Blocking model (and the already-terminal fast path under the
-      // event loop, whose loops intercept live waits before Dispatch):
-      // park this handler thread for up to the clamped wait.
-      ticket->WaitFor(std::min(wait_ms, kMaxLongPollMs));
+    // A live ticket's wait was deferred by the loop before Dispatch; what
+    // reaches here answers at once with the current snapshot.
+    if (!WaitParam(query_string).has_value()) {
+      return bad(400, "unparseable wait value");
     }
     std::string out;
     AppendTicketJson(out, ticket->Poll());

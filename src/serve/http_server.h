@@ -2,7 +2,6 @@
 #define KGAQ_SERVE_HTTP_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -20,33 +19,20 @@
 
 namespace kgaq {
 
-/// Connection-handling model of the HTTP front-end.
-///
-///   kEventLoop (default): an acceptor plus N event-loop threads own all
-///   sockets via epoll (poll fallback). Connections are HTTP/1.1
-///   keep-alive with pipelining; requests are parsed incrementally from
-///   per-connection buffers, so no thread is ever parked per connection
-///   and thousands of concurrent connections cost file descriptors, not
-///   threads.
-///
-///   kBlockingThreads: the pre-event-loop model — accept thread plus a
-///   small pool of blocking handler threads, one connection per request,
-///   Connection: close on every response. Kept as the measured baseline
-///   for the loadgen front-door comparison (examples/loadgen.cpp) and as
-///   a conservative fallback.
-enum class ServerModel : uint8_t { kEventLoop, kBlockingThreads };
-
 /// Knobs of the HTTP front-end. Defaults bind an ephemeral loopback
 /// port — ask `port()` after Start() for the one the kernel picked.
+///
+/// Connections are owned by an acceptor plus N event-loop threads via
+/// epoll (poll fallback). They are HTTP/1.1 keep-alive with pipelining;
+/// requests are parsed incrementally from per-connection buffers, so no
+/// thread is ever parked per connection and thousands of concurrent
+/// connections cost file descriptors, not threads.
 struct HttpServerOptions {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  ///< 0: ephemeral
   /// Listen backlog. A keep-alive front door sees connection bursts only
   /// at client start-up, but those bursts can be thousands deep.
   int backlog = 128;
-  ServerModel model = ServerModel::kEventLoop;
-
-  // --- event-loop model ---------------------------------------------
   /// Event-loop threads sharing the connection population (round-robin
   /// assignment at accept; a connection lives on one loop for life, so
   /// its state needs no locks).
@@ -66,22 +52,11 @@ struct HttpServerOptions {
   /// Debug/portability escape hatch: use the poll(2) backend even where
   /// epoll is available (non-Linux builds always use poll).
   bool force_poll_backend = false;
-
-  // --- blocking model (and shared limits) ---------------------------
-  /// Handler threads draining accepted connections (kBlockingThreads
-  /// only); requests are tiny, the heavy lifting stays on the query
-  /// scheduler, so a handful suffices.
-  size_t num_handler_threads = 4;
   /// Reject request bodies beyond this size (413).
   size_t max_request_bytes = 1 << 20;
-  /// Per-recv socket read timeout (kBlockingThreads only).
-  double read_timeout_ms = 5000.0;
-  /// Per-send socket write timeout (kBlockingThreads only).
-  double write_timeout_ms = 5000.0;
   /// Wall-clock budget for receiving one full request. Defeats
   /// slow-loris clients that trickle one byte at a time: exceeding it
-  /// answers 408 and closes. Under kBlockingThreads this bounds the
-  /// whole connection (read + dispatch + write), as before.
+  /// answers 408 and closes.
   double connection_deadline_ms = 15000.0;
   /// The /result registry keeps at most this many tickets; beyond it the
   /// oldest submissions are dropped (their ids answer 404) so a
@@ -101,12 +76,13 @@ struct HttpServerOptions {
 ///   GET  /result/<id>      -> 200 with state; terminal responses carry
 ///                          v_hat, moe, satisfied, rounds, draws, the
 ///                          seed used and queue/run timings. An optional
-///                          ?wait=<ms> long-polls: the response is
-///                          deferred until the query retires (completions
-///                          are pushed to the owning event loop through
-///                          an eventfd wakeup — no thread parks) or the
-///                          wait expires, which answers with the live
-///                          non-terminal snapshot.
+///                          ?wait=<ms> long-polls, whatever the method:
+///                          the response is deferred until the query
+///                          retires (completions are pushed to the
+///                          owning event loop through an eventfd wakeup
+///                          — no thread parks) or the wait expires,
+///                          which answers with the live non-terminal
+///                          snapshot.
 ///   GET|POST /cancel/<id>  cooperative cancel -> 200 with state.
 ///   GET  /healthz          -> 200 "ok" (Healthy), 200 "saturated"
 ///                          (Saturated), 503 "shedding" + Retry-After
@@ -119,7 +95,7 @@ struct HttpServerOptions {
 ///                          depths) + EngineContext cache entries /
 ///                          approximate resident bytes.
 ///
-/// Under the default event-loop model connections are keep-alive:
+/// Connections are keep-alive:
 /// responses carry `Connection: keep-alive` and the socket serves any
 /// number of requests (HttpServerOptions::max_keepalive_requests caps
 /// it), including pipelined requests parsed back-to-back from one read.
@@ -134,9 +110,10 @@ struct HttpServerOptions {
 /// queue drain rate. Clients honoring it (see serve/http_client.h)
 /// converge instead of hammering a saturated replica.
 ///
-/// The server owns the acceptor and event-loop (or handler) threads
-/// only; queries run on the service's scheduler, so a slow query never
-/// blocks the front-end. The service must outlive the server.
+/// The server owns the acceptor and event-loop threads only; queries run
+/// on the service's scheduler, and no route blocks a loop thread, so a
+/// slow query never stalls the front-end. The service must outlive the
+/// server.
 class HttpServer {
  public:
   explicit HttpServer(QueryService& service, HttpServerOptions options = {});
@@ -145,8 +122,7 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds, listens, and spawns the accept + event-loop (or handler)
-  /// threads.
+  /// Binds, listens, and spawns the accept + event-loop threads.
   Status Start();
 
   /// Stops accepting, joins every thread, closes every socket. Idempotent.
@@ -158,7 +134,6 @@ class HttpServer {
   struct Stats {
     uint64_t requests = 0;      ///< responses generated (any status)
     uint64_t bad_requests = 0;  ///< 4xx responses
-    // --- event-loop model front-door counters -----------------------
     uint64_t connections_accepted = 0;
     size_t open_connections = 0;  ///< currently owned by the loops
     /// Requests served on a connection beyond its first — the keep-alive
@@ -178,8 +153,8 @@ class HttpServer {
   /// the handler after the built-in routes and before the 404
   /// fallthrough; returning a (status, body) pair answers the request
   /// (body goes out as text/plain), nullopt falls through to 404. The
-  /// handler runs inline on event-loop (or handler) threads, so it must
-  /// not block on this server's own routes. Install before Start();
+  /// handler runs inline on event-loop threads, so it must not block on
+  /// this server's own routes. Install before Start();
   /// installation is not synchronized against in-flight requests.
   using ExtraHandler = std::function<std::optional<std::pair<int, std::string>>(
       const std::string& method, const std::string& path,
@@ -190,10 +165,10 @@ class HttpServer {
 
   /// Splices one extra top-level member into the GET /stats JSON object.
   /// The fn returns a complete `"key":{...}` fragment (or "" for none)
-  /// and must be thread-safe — it runs inline on event-loop (or handler)
-  /// threads. Used by the shard tier to surface breaker/failover/hedge
-  /// counters (RenderShardTierJson, shard/coordinator.h) on the same
-  /// /stats the flat service already serves. Install before Start().
+  /// and must be thread-safe — it runs inline on event-loop threads.
+  /// Used by the shard tier to surface breaker/failover/hedge counters
+  /// (RenderShardTierJson, shard/coordinator.h) on the same /stats the
+  /// flat service already serves. Install before Start().
   using StatsAugmenter = std::function<std::string()>;
   void SetStatsAugmenter(StatsAugmenter fn) {
     stats_augmenter_ = std::move(fn);
@@ -212,15 +187,8 @@ class HttpServer {
  private:
   class EventLoop;
 
-  // --- blocking model ------------------------------------------------
-  void AcceptLoopBlocking(int listen_fd);
-  void HandlerLoop();
-  void HandleConnection(int fd);
+  void AcceptLoop(int listen_fd);
 
-  // --- event-loop model ----------------------------------------------
-  void AcceptLoopEvented(int listen_fd);
-
-  // --- shared dispatch ------------------------------------------------
   /// Everything needed to finish a POST /query after parsing: either the
   /// ready-to-send error response (parse/param failure) or the validated
   /// request plus its canonical echo, to be submitted — possibly as part
@@ -235,9 +203,9 @@ class HttpServer {
                                const std::string& body);
   std::string FinishSubmit(const PreparedSubmit& prep, QueryTicket ticket,
                            bool keep_alive);
-  /// Routes everything except the deferred paths (batched /query,
-  /// long-poll /result) — and those too under kBlockingThreads, where
-  /// blocking inline is fine.
+  /// Routes everything except the deferred paths (POST /query, which
+  /// joins an admission wave, and a live /result?wait long-poll); answers
+  /// at once, never blocking the calling loop thread.
   std::string Dispatch(const std::string& method, const std::string& target,
                        const std::string& body, bool keep_alive);
   /// Registry lookup; nullopt for unknown/evicted ids.
@@ -253,12 +221,7 @@ class HttpServer {
   int listen_fd_ = -1;
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
-  std::vector<std::thread> handlers_;
   std::vector<std::unique_ptr<EventLoop>> loops_;
-
-  std::mutex conn_mu_;
-  std::condition_variable conn_available_;
-  std::deque<int> connections_;
 
   mutable std::mutex tickets_mu_;
   std::unordered_map<uint64_t, QueryTicket> tickets_;

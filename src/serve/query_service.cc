@@ -370,11 +370,7 @@ void QueryService::Retire(const TicketPtr& t, QueryState state,
                           Status status, AggregateResult result,
                           bool degraded, bool shed_from_queue) {
   const auto now = TicketState::Clock::now();
-  if (degraded && result.rounds > 0 && std::abs(result.v_hat) > 0.0) {
-    // A degraded answer reports what it achieved, not what was asked:
-    // the relative half-width of the confidence interval actually built.
-    result.error_bound = result.moe / std::abs(result.v_hat);
-  }
+  if (degraded) SetAchievedErrorBound(result);
   std::vector<std::function<void(const QueryResponse&)>> callbacks;
   {
     std::lock_guard<std::mutex> lock(t->mu);
@@ -578,16 +574,10 @@ void QueryService::SchedulerLoop() {
       std::vector<Status> build_status(build.size());
       ParallelFor(pool, build.size(), [&](size_t j) {
         const TicketPtr& t = build[j];
-        EngineOptions opts = options_.engine;
-        opts.seed = t->seed_used;
-        const QueryRequest& req = t->request;
-        if (req.error_bound.has_value()) opts.error_bound = *req.error_bound;
-        if (req.confidence_level.has_value()) {
-          opts.confidence_level = *req.confidence_level;
-        }
-        if (req.max_rounds.has_value()) opts.max_rounds = *req.max_rounds;
+        const EngineOptions opts =
+            EffectiveEngineOptions(options_.engine, t->request, t->seed_used);
         ApproxEngine engine(ctx_, opts);
-        auto session = engine.CreateSession(req.query);
+        auto session = engine.CreateSession(t->request.query);
         if (session.ok()) {
           built[j] = std::move(*session);
           built[j]->SetStopControl(&t->cancel, t->deadline);
@@ -714,68 +704,56 @@ void QueryService::SchedulerLoop() {
   }
 }
 
-// ---------------------------------------------------- legacy wrapper API
-
-size_t QueryService::Submit(AggregateQuery query) {
-  QueryRequest request;
-  request.query = std::move(query);
-  QueryTicket ticket = SubmitAsync(std::move(request));
-  std::lock_guard<std::mutex> lock(mu_);
-  legacy_tickets_.push_back(ticket.state_);
-  return legacy_tickets_.size() - 1;
-}
-
-const std::vector<Result<AggregateResult>>& QueryService::RunAll() {
-  // Snapshot the tickets to wait on without holding the service lock
-  // across the (potentially long) waits.
-  std::vector<TicketPtr> pending;
-  size_t already = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    already = legacy_results_.size();
-    pending.assign(legacy_tickets_.begin() + already,
-                   legacy_tickets_.end());
-  }
-  std::vector<Result<AggregateResult>> fresh;
-  fresh.reserve(pending.size());
-  for (const TicketPtr& t : pending) {
-    QueryResponse resp = QueryTicket(t).Wait();
-    switch (resp.state) {
-      case QueryState::kDone:
-        fresh.push_back(std::move(resp.result));
-        break;
-      case QueryState::kFailed:
-        fresh.push_back(std::move(resp.status));
-        break;
-      case QueryState::kCancelled:
-        fresh.push_back(Status::FailedPrecondition(
-            "query cancelled before completion"));
-        break;
-      case QueryState::kDeadlineExceeded:
-        fresh.push_back(Status::FailedPrecondition(
-            "query deadline expired before completion"));
-        break;
-      default:
-        fresh.push_back(Status::Internal("query not yet run"));
-        break;
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  // A concurrent RunAll may have materialized some of `pending` already;
-  // append only the tail this call still owns.
-  for (size_t i = legacy_results_.size() - already; i < fresh.size(); ++i) {
-    legacy_results_.push_back(std::move(fresh[i]));
-  }
-  return legacy_results_;
-}
-
 std::vector<Result<AggregateResult>> QueryService::RunBatch(
     std::shared_ptr<const EngineContext> context,
     const std::vector<AggregateQuery>& queries, ServiceOptions options) {
   QueryService service(std::move(context), options);
-  for (const AggregateQuery& q : queries) service.Submit(q);
-  service.RunAll();
-  return std::move(service.legacy_results_);  // service is dying; steal
+  std::vector<QueryRequest> requests(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) requests[i].query = queries[i];
+  std::vector<Result<AggregateResult>> out;
+  out.reserve(queries.size());
+  for (const QueryTicket& ticket : service.SubmitBatch(std::move(requests))) {
+    QueryResponse resp = ticket.Wait();
+    switch (resp.state) {
+      case QueryState::kDone:
+        out.push_back(std::move(resp.result));
+        break;
+      case QueryState::kFailed:
+        out.push_back(std::move(resp.status));
+        break;
+      case QueryState::kCancelled:
+        out.push_back(Status::FailedPrecondition(
+            "query cancelled before completion"));
+        break;
+      case QueryState::kDeadlineExceeded:
+        out.push_back(Status::FailedPrecondition(
+            "query deadline expired before completion"));
+        break;
+      default:  // unreachable: Wait returns only terminal states
+        out.push_back(Status::Internal("query not yet run"));
+        break;
+    }
+  }
+  return out;
+}
+
+EngineOptions EffectiveEngineOptions(const EngineOptions& defaults,
+                                     const QueryRequest& request,
+                                     uint64_t seed) {
+  EngineOptions opts = defaults;
+  opts.seed = seed;
+  if (request.error_bound.has_value()) opts.error_bound = *request.error_bound;
+  if (request.confidence_level.has_value()) {
+    opts.confidence_level = *request.confidence_level;
+  }
+  if (request.max_rounds.has_value()) opts.max_rounds = *request.max_rounds;
+  return opts;
+}
+
+void SetAchievedErrorBound(AggregateResult& result) {
+  if (result.rounds > 0 && std::abs(result.v_hat) > 0.0) {
+    result.error_bound = result.moe / std::abs(result.v_hat);
+  }
 }
 
 }  // namespace kgaq

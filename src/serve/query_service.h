@@ -117,7 +117,7 @@ bool IsTerminalState(QueryState s);
 
 /// Everything the service knows about one query, returned BY VALUE — a
 /// response outlives the service and is never invalidated by later
-/// submissions (unlike the legacy RunAll reference, see below).
+/// submissions.
 struct QueryResponse {
   uint64_t id = 0;
   QueryState state = QueryState::kQueued;
@@ -273,7 +273,7 @@ class QueryService {
   /// order, exactly as SubmitAsync would.
   std::vector<QueryTicket> SubmitBatch(std::vector<QueryRequest> requests);
 
-  /// Number of queries submitted so far (async + legacy).
+  /// Number of queries submitted so far.
   size_t num_submitted() const;
 
   /// Blocks until every query submitted so far is terminal.
@@ -324,27 +324,12 @@ class QueryService {
   /// Current overload state (see OverloadState).
   OverloadState overload_state() const;
 
-  // --- Legacy blocking surface (thin wrappers over the async core) -----
-
-  /// Enqueues a query with service-default options; returns its index
-  /// (position in RunAll's output). Kept for source compatibility —
-  /// prefer SubmitAsync, whose QueryResponse is returned by value.
-  size_t Submit(AggregateQuery query);
-
-  /// Blocks until every Submit()-ed query is terminal and returns their
-  /// results in submission order. LIFETIME TRAP (the reason this API is
-  /// legacy): the return is a reference into the service, and the element
-  /// it exposes for query i is invalidated by the next Submit/RunAll —
-  /// the vector reallocates as it grows. Copy out anything you keep, or
-  /// use SubmitAsync + QueryTicket::Wait, which return by value. The old
-  /// caller-driven loop is gone; this wrapper just waits on the
-  /// background scheduler. Queries that fail admission carry their error
-  /// Status. May be called again after more Submits; already-run queries
-  /// are not re-run and indices keep counting up, so reruns stay
-  /// reproducible.
-  const std::vector<Result<AggregateResult>>& RunAll();
-
-  /// One-call batch convenience.
+  /// One-call batch convenience: runs `queries` with service-default
+  /// options on a fresh service (query i gets id i and seed
+  /// QuerySeed(options.base_seed, i)) and returns their results in
+  /// order. A query that does not finish DONE carries an error Status:
+  /// its admission error, or kFailedPrecondition when cancelled or
+  /// deadline-expired.
   static std::vector<Result<AggregateResult>> RunBatch(
       std::shared_ptr<const EngineContext> context,
       const std::vector<AggregateQuery>& queries,
@@ -403,11 +388,22 @@ class QueryService {
   mutable bool tick_warned_ = false;
   mutable uint64_t watchdog_stalls_ = 0;
   std::thread scheduler_;  ///< started lazily on first submission
-
-  // Legacy wrapper state: tickets in Submit order, materialized results.
-  std::vector<TicketPtr> legacy_tickets_;
-  std::vector<Result<AggregateResult>> legacy_results_;
 };
+
+/// The engine configuration a request runs under: `defaults` with the
+/// request's overrides (error bound, confidence, max rounds) applied and
+/// the Rng seeded with `seed`. The one definition QueryService admission
+/// and the shard coordinator share, so a service and a coordinator given
+/// the same request run identical engines.
+EngineOptions EffectiveEngineOptions(const EngineOptions& defaults,
+                                     const QueryRequest& request,
+                                     uint64_t seed);
+
+/// A degraded answer reports the bound it achieved, not the one it was
+/// asked for: rewrites result.error_bound to the relative half-width of
+/// the confidence interval actually built, moe / |v_hat|. Leaves results
+/// without a completed round or with v_hat == 0 untouched.
+void SetAchievedErrorBound(AggregateResult& result);
 
 }  // namespace kgaq
 

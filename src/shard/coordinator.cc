@@ -45,20 +45,11 @@ QueryResponse Coordinator::Execute(const QueryRequest& request) {
   const uint64_t id = next_index_++;
   ++stats_.submitted;
 
-  // Same effective-options assembly as QueryService's admit path, so a
-  // coordinator and an unsharded service given the same request sequence
-  // run identical engine configurations (the parity tests rely on it).
   const uint64_t seed = request.seed.has_value()
                             ? *request.seed
                             : QueryService::QuerySeed(options_.base_seed, id);
-  EngineOptions opts = options_.engine;
-  opts.seed = seed;
+  EngineOptions opts = EffectiveEngineOptions(options_.engine, request, seed);
   opts.shard = ShardSelector{};  // the coordinator replays the GLOBAL run
-  if (request.error_bound.has_value()) opts.error_bound = *request.error_bound;
-  if (request.confidence_level.has_value()) {
-    opts.confidence_level = *request.confidence_level;
-  }
-  if (request.max_rounds.has_value()) opts.max_rounds = *request.max_rounds;
   const Deadline deadline = request.deadline_ms > 0.0
                                 ? Deadline::AfterMillis(request.deadline_ms)
                                 : Deadline::Infinite();
@@ -357,13 +348,7 @@ QueryResponse Coordinator::ExecuteDeterministic(const AggregateQuery& query,
       response.state = QueryState::kDone;
       break;
   }
-  if (response.degraded && response.result.rounds > 0 &&
-      std::abs(response.result.v_hat) > 0.0) {
-    // Same contract as QueryService::Retire: a degraded answer reports
-    // the relative CI half-width it actually achieved.
-    response.result.error_bound =
-        response.result.moe / std::abs(response.result.v_hat);
-  }
+  if (response.degraded) SetAchievedErrorBound(response.result);
   return response;
 }
 
@@ -552,9 +537,7 @@ QueryResponse Coordinator::ExecuteFederated(const QueryRequest& request,
   response.degraded = !all_usable || any_deadline || any_sub_degraded;
   response.state =
       any_deadline ? QueryState::kDeadlineExceeded : QueryState::kDone;
-  if (response.degraded && out.rounds > 0 && std::abs(out.v_hat) > 0.0) {
-    out.error_bound = out.moe / std::abs(out.v_hat);
-  }
+  if (response.degraded) SetAchievedErrorBound(out);
   return response;
 }
 

@@ -572,6 +572,49 @@ TEST_F(HttpServerTest, RequestSplitAcrossSegmentsParsesIncrementally) {
   EXPECT_EQ(JsonField(body, "state"), "QUEUED") << body;
 }
 
+// Framing headers match by whole name at the start of a header line:
+// neither the request target, nor a longer name ending in a framing
+// header's name, nor a look-alike placed before the real header may
+// frame the request. Each head must be answered at once, with the
+// connection kept or closed as its real Connection header says.
+TEST_F(HttpServerTest, FramingHeadersMatchWholeNamesAtLineStart) {
+  struct Case {
+    std::string head;
+    bool closes;
+  };
+  const Case cases[] = {
+      {"GET /healthz?content-length:40 HTTP/1.1\r\nHost: x\r\n\r\n", false},
+      {"GET /healthz HTTP/1.1\r\nX-Content-Length: 40\r\n\r\n", false},
+      {"GET /healthz HTTP/1.1\r\nProxy-Connection: keep-alive\r\n"
+       "Connection: close\r\n\r\n",
+       true},
+  };
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.head);
+    RawConn c;
+    ASSERT_TRUE(c.Connect(server_->port()));
+    ASSERT_TRUE(c.Send(tc.head));
+    int code = 0;
+    std::string head, body;
+    if (!c.ReadResponse(&code, &head, &body, 2000)) {
+      ADD_FAILURE() << "no response within 2 s";
+      continue;
+    }
+    EXPECT_EQ(code, 200);
+    EXPECT_EQ(body, "ok\n");
+    if (tc.closes) {
+      EXPECT_NE(head.find("Connection: close"), std::string::npos) << head;
+      EXPECT_TRUE(c.ExpectEof(2000));
+      continue;
+    }
+    // No phantom body was framed: the connection serves the next request.
+    EXPECT_NE(head.find("Connection: keep-alive"), std::string::npos) << head;
+    ASSERT_TRUE(c.Send("GET /healthz HTTP/1.1\r\n\r\n"));
+    ASSERT_TRUE(c.ReadResponse(&code, nullptr, &body, 2000));
+    EXPECT_EQ(code, 200);
+  }
+}
+
 TEST(HttpEventLoopTest, OversizedHeaderAnswers431AndCloses) {
   HttpServerOptions hopts;
   hopts.max_header_bytes = 256;
@@ -701,23 +744,6 @@ TEST(HttpEventLoopTest, PollBackendServesKeepAliveIdentically) {
   EXPECT_GE(stack.server->stats().keepalive_reuses, 1u);
 }
 
-TEST(HttpEventLoopTest, BlockingThreadsModelStillServes) {
-  HttpServerOptions hopts;
-  hopts.model = ServerModel::kBlockingThreads;
-  BoundedStack stack(ServiceOptions{}, hopts);
-  auto health = stack.Fetch("GET", "/healthz");
-  ASSERT_TRUE(health.ok()) << health.status();
-  EXPECT_EQ(health->body, "ok\n");
-  auto submitted = stack.Fetch("POST", "/query", UnsatisfiableText());
-  ASSERT_TRUE(submitted.ok());
-  ASSERT_EQ(submitted->status_code, 202) << submitted->body;
-  const std::string id = ExtractJsonField(submitted->body, "id");
-  // The blocking model long-polls inline (WaitFor on the handler thread).
-  auto result = stack.Fetch("GET", "/result/" + id + "?wait=30000");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(ExtractJsonField(result->body, "state"), "DONE") << result->body;
-}
-
 TEST_F(HttpServerTest, LongPollWaitDefersUntilTerminal) {
   const std::string text = FormatAggregateQuery(WorkloadGenerator::SimpleQuery(
       MiniDataset(), 0, 1, AggregateFunction::kCount));
@@ -762,6 +788,47 @@ TEST(HttpEventLoopTest, LongPollWaitExpiryReturnsLiveSnapshot) {
   ASSERT_TRUE(done.ok());
   EXPECT_EQ(ExtractJsonField(done->body, "state"), "CANCELLED")
       << done->body;
+}
+
+// No route blocks an event-loop thread: a long-poll on a live query is
+// deferred whatever its method, so with a single loop a /healthz on
+// another connection is still answered at once.
+TEST(HttpEventLoopTest, LongPollNeverStallsTheLoop) {
+  ServiceOptions sopts;
+  sopts.base_seed = 508;
+  HttpServerOptions hopts;
+  hopts.event_threads = 1;
+  BoundedStack stack(sopts, hopts);
+  auto submitted = stack.Fetch("POST", "/query?eb=1e-9&max_rounds=1000000",
+                               UnsatisfiableText());
+  ASSERT_TRUE(submitted.ok());
+  ASSERT_EQ(submitted->status_code, 202) << submitted->body;
+  const std::string id = JsonField(submitted->body, "id");
+
+  RawConn waiter;
+  ASSERT_TRUE(waiter.Connect(stack.server->port()));
+  ASSERT_TRUE(
+      waiter.Send("POST /result/" + id + "?wait=2000 HTTP/1.1\r\n\r\n"));
+  // Let the loop take the long-poll before the probe arrives.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const auto probe_start = std::chrono::steady_clock::now();
+  auto health = stack.Fetch("GET", "/healthz");
+  const double probe_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - probe_start)
+                              .count();
+  ASSERT_TRUE(health.ok()) << health.status();
+  EXPECT_EQ(health->status_code, 200);
+  EXPECT_LT(probe_ms, 1000.0) << "the long-poll held the only event loop";
+
+  // The deferred long-poll still answers: with the terminal snapshot once
+  // the query is cancelled.
+  ASSERT_TRUE(stack.Fetch("POST", "/cancel/" + id).ok());
+  int code = 0;
+  std::string body;
+  ASSERT_TRUE(waiter.ReadResponse(&code, nullptr, &body));
+  EXPECT_EQ(code, 200);
+  EXPECT_EQ(JsonField(body, "state"), "CANCELLED") << body;
 }
 
 TEST_F(HttpServerTest, StatsExposeServerObjectAndSchedulerWakeups) {

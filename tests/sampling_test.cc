@@ -135,16 +135,13 @@ TEST(TransitionModelTest, LocalIdOutOfGraphIsInvalid) {
 }
 
 TEST(TransitionModelTest, DrawPoliciesPassChiSquareAgainstExactRow) {
-  // Distribution parity of all three step policies — O(1) alias draw,
-  // reference CDF binary search, walking-with-rejection — against the
-  // row's exact categorical distribution, via a chi-square GOF statistic.
+  // Distribution parity of both step policies — O(1) alias draw and
+  // walking-with-rejection — against the row's exact categorical
+  // distribution, via a chi-square GOF statistic.
   Fixture f = MakeFixture();
   PredicateSimilarityCache sims(*f.embedding, f.g.PredicateIdOf("rel_hi"));
   auto scope = BoundedBfs(f.g, f.source, 3);
-  TransitionOptions topts;
-  topts.keep_cdf = true;  // exercise the stored-CDF binary-search path
-  TransitionModel tm(f.g, scope, sims, topts);
-  ASSERT_TRUE(tm.has_cdf());
+  TransitionModel tm(f.g, scope, sims);
   const size_t local = tm.SourceLocal();
   const auto arcs = tm.Arcs(local);
   ASSERT_GE(arcs.size(), 3u);
@@ -172,9 +169,6 @@ TEST(TransitionModelTest, DrawPoliciesPassChiSquareAgainstExactRow) {
   // systematically wrong policy fails while seeded noise never does.
   EXPECT_LT(chi_square([&](Rng& r) { return tm.SampleNext(local, r); }, 11),
             30.0);
-  EXPECT_LT(
-      chi_square([&](Rng& r) { return tm.SampleNextCdf(local, r); }, 12),
-      30.0);
   EXPECT_LT(chi_square(
                 [&](Rng& r) { return tm.SampleNextRejection(local, r); }, 13),
             30.0);
@@ -199,52 +193,30 @@ TEST(TransitionModelTest, ExactAndRejectionSamplersAgree) {
   }
 }
 
-TEST(TransitionModelTest, ViewGatingDropsCdfAndInCsr) {
-  // Memory audit: by default no cumulative array is materialized, and
-  // walk-only models can drop the incoming-arc CSR too. Every retained
-  // draw policy must keep producing the identical stream.
+TEST(TransitionModelTest, ViewGatingDropsInCsr) {
+  // Memory audit: walk-only models can drop the incoming-arc CSR. The
+  // alias draws must keep producing the identical stream.
   Fixture f = MakeFixture();
   PredicateSimilarityCache sims(*f.embedding, f.g.PredicateIdOf("rel_hi"));
   auto scope = BoundedBfs(f.g, f.source, 3);
 
-  TransitionOptions full;
-  full.keep_cdf = true;
-  TransitionModel tm_full(f.g, scope, sims, full);
   TransitionModel tm_default(f.g, scope, sims);
   TransitionOptions walk_only;
   walk_only.build_in_csr = false;
   TransitionModel tm_walk(f.g, scope, sims, walk_only);
 
-  EXPECT_TRUE(tm_full.has_cdf());
-  EXPECT_TRUE(tm_full.has_in_csr());
-  EXPECT_FALSE(tm_default.has_cdf());
   EXPECT_TRUE(tm_default.has_in_csr());
-  EXPECT_FALSE(tm_walk.has_cdf());
   EXPECT_FALSE(tm_walk.has_in_csr());
-  EXPECT_LT(tm_default.MemoryBytes(), tm_full.MemoryBytes());
   EXPECT_LT(tm_walk.MemoryBytes(), tm_default.MemoryBytes());
 
-  // The alias, CDF-fallback, and rejection draws are untouched by gating:
-  // identical streams under identical seeds.
+  // Gating leaves the draws untouched: identical streams under identical
+  // seeds.
   for (uint64_t seed : {3u, 11u}) {
-    Rng a(seed), b(seed), c(seed);
-    size_t ua = tm_full.SourceLocal(), ub = ua, uc = ua;
+    Rng a(seed), b(seed);
+    size_t ua = tm_default.SourceLocal(), ub = ua;
     for (int i = 0; i < 500; ++i) {
-      ua = tm_full.SampleNext(ua, a);
-      ub = tm_default.SampleNext(ub, b);
-      uc = tm_walk.SampleNext(uc, c);
-      EXPECT_EQ(ua, ub);
-      EXPECT_EQ(ua, uc);
-    }
-  }
-  // SampleNextCdf without the stored CDF: same draw via the linear-scan
-  // fallback over the same partial sums.
-  {
-    Rng a(7), b(7);
-    size_t ua = tm_full.SourceLocal(), ub = ua;
-    for (int i = 0; i < 500; ++i) {
-      ua = tm_full.SampleNextCdf(ua, a);
-      ub = tm_default.SampleNextCdf(ub, b);
+      ua = tm_default.SampleNext(ua, a);
+      ub = tm_walk.SampleNext(ub, b);
       EXPECT_EQ(ua, ub);
     }
   }

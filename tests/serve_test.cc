@@ -126,14 +126,18 @@ TEST(QueryServiceTest, InvalidQueryFailsAloneOthersComplete) {
                                              AggregateFunction::kCount);
   AggregateQuery bad = good;
   bad.query.branches[0].specific_name = "no_such_entity_anywhere";
-  EXPECT_EQ(service.Submit(good), 0u);
-  EXPECT_EQ(service.Submit(bad), 1u);
-  EXPECT_EQ(service.Submit(good), 2u);
-  auto results = service.RunAll();
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_FALSE(results[1].ok());
-  EXPECT_TRUE(results[2].ok());
+  std::vector<QueryRequest> wave(3);
+  wave[0].query = good;
+  wave[1].query = bad;
+  wave[2].query = good;
+  std::vector<QueryTicket> tickets = service.SubmitBatch(std::move(wave));
+  ASSERT_EQ(tickets.size(), 3u);
+  for (size_t i = 0; i < tickets.size(); ++i) EXPECT_EQ(tickets[i].id(), i);
+  const QueryResponse failed = tickets[1].Wait();
+  EXPECT_EQ(failed.state, QueryState::kFailed);
+  EXPECT_FALSE(failed.status.ok());
+  EXPECT_EQ(tickets[0].Wait().state, QueryState::kDone);
+  EXPECT_EQ(tickets[2].Wait().state, QueryState::kDone);
 }
 
 TEST(QueryServiceTest, QuerySeedIsStableAndSpread) {
@@ -414,43 +418,6 @@ TEST(AsyncQueryServiceTest, DestructorCancelsOutstandingWork) {
   // Tickets outlive the service; both were cancelled by teardown.
   EXPECT_EQ(running.Poll().state, QueryState::kCancelled);
   EXPECT_EQ(queued.Poll().state, QueryState::kCancelled);
-}
-
-// The satellite fix in action: the legacy RunAll reference is documented
-// as invalidated by growth, while QueryResponse is a stable value.
-TEST(QueryServiceTest, LegacyReferenceVersusByValueResponse) {
-  const auto& ds = MiniDataset();
-  auto ctx = std::make_shared<EngineContext>(ds.graph(),
-                                             ds.reference_embedding());
-  ServiceOptions sopts;
-  sopts.base_seed = 55;
-  QueryService service(ctx, sopts);
-  const auto q0 = WorkloadGenerator::SimpleQuery(ds, 0, 0,
-                                                 AggregateFunction::kCount);
-
-  EXPECT_EQ(service.Submit(q0), 0u);
-  const auto& ref = service.RunAll();
-  ASSERT_EQ(ref.size(), 1u);
-  ASSERT_TRUE(ref[0].ok());
-  const double v0 = ref[0]->v_hat;
-
-  // Same query as an async request with the legacy-derived seed pinned:
-  // the by-value response reproduces the legacy result...
-  QueryRequest req;
-  req.query = q0;
-  req.seed = QueryService::QuerySeed(sopts.base_seed, 0);
-  const QueryResponse by_value = service.SubmitAsync(req).Wait();
-  ASSERT_EQ(by_value.state, QueryState::kDone) << by_value.status;
-  EXPECT_EQ(by_value.result.v_hat, v0);
-
-  // ...and stays intact while the legacy vector grows underneath its
-  // old element references (the documented lifetime trap: `ref[0]` from
-  // before this Submit may now dangle — don't hold element references).
-  EXPECT_EQ(service.Submit(q0), 1u);
-  const auto& again = service.RunAll();
-  EXPECT_EQ(&again, &ref) << "RunAll returns the same live vector";
-  ASSERT_EQ(again.size(), 2u);
-  EXPECT_EQ(by_value.result.v_hat, v0);
 }
 
 // The tick-batching contract behind the HTTP front door: a whole wave
