@@ -25,15 +25,14 @@ namespace kgaq {
 /// chaos tests exercise the coordinator's degradation paths — degraded
 /// partial answers, kShardLost round abort — without real networks.
 ///
-/// Thread-safety: Plan/Validate/Release/SubQuery may be called from the
-/// coordinator's scatter threads concurrently with calls for OTHER
-/// channels, but a single channel instance is only ever driven by one
-/// in-flight query at a time per method (the coordinator serializes
-/// queries; a replica set's hedged validates race DIFFERENT replicas'
-/// channels, never the same one). Probe() is the exception: the replica
-/// tier's background prober may call it concurrently with anything, so
-/// implementations keep Probe thread-safe. LocalShardChannel is fully
-/// thread-safe; HttpShardChannel serializes its transport internally.
+/// Thread-safety: every method may be called concurrently — by different
+/// queries (Coordinator::Execute runs its callers in parallel), by the
+/// replica tier's hedge racers and background prober — so every
+/// implementation guards its own state. Calls for one plan token come
+/// from one query and are ordered by its rounds, except that a hedge
+/// loser may still be running when the next round's validate starts.
+/// LocalShardChannel defers to ShardNode (internally locked);
+/// HttpShardChannel rides the thread-safe RetryingHttpClient.
 class ShardChannel {
  public:
   virtual ~ShardChannel() = default;

@@ -40,10 +40,13 @@ std::vector<ChannelHealth> Coordinator::channel_health() const {
 }
 
 QueryResponse Coordinator::Execute(const QueryRequest& request) {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto started = std::chrono::steady_clock::now();
-  const uint64_t id = next_index_++;
-  ++stats_.submitted;
+  uint64_t id;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    id = next_index_++;
+    ++stats_.submitted;
+  }
 
   const uint64_t seed = request.seed.has_value()
                             ? *request.seed
@@ -69,6 +72,7 @@ QueryResponse Coordinator::Execute(const QueryRequest& request) {
                         std::chrono::steady_clock::now() - started)
                         .count();
 
+  std::lock_guard<std::mutex> lock(mu_);
   switch (response.state) {
     case QueryState::kDone:
       ++stats_.done;
@@ -122,11 +126,19 @@ Result<Coordinator::MergedPlan> Coordinator::ScatterPlan(
                                last_error.ToString());
   }
 
-  if (KGAQ_FAULT_POINT("shard.merge")) {
-    // Release what we planned before failing, or shards leak sessions.
-    for (size_t s = 0; s < n; ++s) {
-      if (merged.shard_live[s]) channels_[s]->Release(merged.tokens[s]);
+  // Every exit below that does not hand the plan to the caller releases
+  // the live tokens, or each shard that planned keeps a QuerySession (and
+  // its cache pins) for the life of the node.
+  struct ReleaseUnlessKept {
+    Coordinator* self;
+    const MergedPlan& plan;
+    bool kept = false;
+    ~ReleaseUnlessKept() {
+      if (!kept) self->ReleasePlans(plan);
     }
+  } guard{this, merged};
+
+  if (KGAQ_FAULT_POINT("shard.merge")) {
     return Status::Internal("injected: shard merge failed");
   }
 
@@ -223,6 +235,7 @@ Result<Coordinator::MergedPlan> Coordinator::ScatterPlan(
     }
     for (double& p : merged.probs) p /= prob_sum;
   }
+  guard.kept = true;
   return merged;
 }
 
@@ -249,51 +262,60 @@ QueryResponse Coordinator::ExecuteDeterministic(const AggregateQuery& query,
 
   // The outsourced per-draw fold: map merged positions back to (owner
   // shard, global index), batch per shard, validate in parallel, scatter
-  // the outcomes back into draw order. Any shard failure fails the whole
-  // round — the session retires with kShardLost and its completed rounds
-  // intact.
-  std::vector<std::vector<size_t>> positions_by_shard(n);
-  std::vector<std::vector<size_t>> indices_by_shard(n);
+  // the outcomes back into draw order. A round sends each drawn candidate
+  // to its owner once, however often it was drawn: a plan session answers
+  // a candidate identically every time, so every draw that hit it takes
+  // the one outcome. Every owning shard is still called every round, so a
+  // shard lost mid-run fails the round that needed it — the session
+  // retires with kShardLost and its completed rounds intact.
+  constexpr uint32_t kUnsent = ~uint32_t{0};
+  std::vector<uint32_t> slot(plan.nodes.size(), kUnsent);  // per position
+  std::vector<ShardValidateRequest> requests(n);
+  std::vector<std::vector<NodeOutcome>> outcomes(n);
+  for (size_t s = 0; s < n; ++s) {
+    requests[s].token = plan.tokens[s];
+    requests[s].deadline = deadline;
+  }
   RemoteEvaluator evaluator = [&](std::span<const size_t> draws,
                                   std::vector<NodeOutcome>& out) -> Status {
-    for (auto& v : positions_by_shard) v.clear();
-    for (auto& v : indices_by_shard) v.clear();
-    for (size_t j = 0; j < draws.size(); ++j) {
-      const size_t position = draws[j];
-      const uint32_t owner = plan.owner[position];
-      positions_by_shard[owner].push_back(j);
-      indices_by_shard[owner].push_back(
-          static_cast<size_t>(plan.global_index[position]));
+    for (ShardValidateRequest& req : requests) req.indices.clear();
+    for (const size_t position : draws) {
+      if (slot[position] != kUnsent) continue;
+      std::vector<size_t>& batch = requests[plan.owner[position]].indices;
+      slot[position] = static_cast<uint32_t>(batch.size());
+      batch.push_back(static_cast<size_t>(plan.global_index[position]));
     }
-    out.assign(draws.size(), NodeOutcome{});
     std::vector<Status> statuses(n);
     ParallelFor(GlobalPool(), n, [&](size_t s) {
-      if (indices_by_shard[s].empty()) return;
-      ShardValidateRequest req;
-      req.token = plan.tokens[s];
-      req.indices = indices_by_shard[s];
-      req.deadline = deadline;
-      auto outcomes = channels_[s]->Validate(req);
-      if (!outcomes.ok()) {
-        statuses[s] = outcomes.status();
-        return;
-      }
-      if (outcomes->size() != positions_by_shard[s].size()) {
-        statuses[s] = Status::Internal("shard returned " +
-                                       std::to_string(outcomes->size()) +
-                                       " outcomes for " +
-                                       std::to_string(indices_by_shard[s].size()) +
-                                       " draws");
-        return;
-      }
-      for (size_t j = 0; j < outcomes->size(); ++j) {
-        out[positions_by_shard[s][j]] = (*outcomes)[j];
+      if (requests[s].indices.empty()) return;
+      auto reply = channels_[s]->Validate(requests[s]);
+      if (!reply.ok()) {
+        statuses[s] = reply.status();
+      } else if (reply->size() != requests[s].indices.size()) {
+        statuses[s] = Status::Internal(
+            "shard returned " + std::to_string(reply->size()) +
+            " outcomes for " + std::to_string(requests[s].indices.size()) +
+            " candidates");
+      } else {
+        outcomes[s] = std::move(*reply);
       }
     });
-    for (const Status& s : statuses) {
-      if (!s.ok()) return s;
+    Status status;
+    for (const Status& st : statuses) {
+      if (!st.ok()) {
+        status = st;
+        break;
+      }
     }
-    return Status::OK();
+    if (status.ok()) {
+      out.resize(draws.size());
+      for (size_t j = 0; j < draws.size(); ++j) {
+        const size_t position = draws[j];
+        out[j] = outcomes[plan.owner[position]][slot[position]];
+      }
+    }
+    for (const size_t position : draws) slot[position] = kUnsent;
+    return status;
   };
 
   FederatedSessionSpec spec;

@@ -48,7 +48,8 @@ struct CoordinatorOptions {
 };
 
 /// Coordinator-level counters, mirroring QueryService::ServiceStats'
-/// accounting identity — every Execute lands in exactly one bucket:
+/// accounting identity — every Execute lands in exactly one bucket, so
+/// once no Execute is in flight:
 ///   submitted == done + failed + cancelled + deadline_expired
 ///                + rejected + shed
 /// The coordinator never queues (Execute is synchronous), so cancelled /
@@ -81,10 +82,13 @@ struct CoordinatorStats {
 /// (kUnavailable). Deadlines propagate per round exactly as at a
 /// QueryService. Execute never hangs and never crashes on shard loss.
 ///
-/// Execute is serialized (one query at a time): the scatter layer
-/// parallelizes ACROSS shards per round, which is where the scaling
-/// lives; cross-query concurrency belongs to the caller (front doors
-/// put a QueryService-like queue in front).
+/// Execute is thread-safe and runs concurrent callers' queries in
+/// parallel: each query owns its merged plan, replay session and
+/// per-round batches, and the shared state (the query counter and
+/// CoordinatorStats) sits behind a mutex held only to bump it. Within a
+/// query the scatter layer parallelizes ACROSS shards per round. The
+/// channels must therefore accept concurrent calls from different
+/// queries (the ShardChannel contract).
 class Coordinator {
  public:
   Coordinator(std::vector<std::unique_ptr<ShardChannel>> channels,
@@ -100,9 +104,8 @@ class Coordinator {
   const CoordinatorOptions& options() const { return options_; }
 
   /// Per-channel replica-health snapshots, index-aligned with shards.
-  /// Deliberately does NOT take the Execute lock: channels_ is immutable
-  /// after construction and ChannelHealth snapshots are internally
-  /// synchronized, so /stats stays responsive mid-query.
+  /// Lock-free here: channels_ is immutable after construction and
+  /// ChannelHealth snapshots are internally synchronized.
   std::vector<ChannelHealth> channel_health() const;
 
  private:
@@ -138,7 +141,7 @@ class Coordinator {
   std::vector<std::unique_ptr<ShardChannel>> channels_;
   CoordinatorOptions options_;
 
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  ///< guards next_index_ and stats_ only
   uint64_t next_index_ = 0;
   CoordinatorStats stats_;
 };

@@ -229,10 +229,10 @@ void ShardReplicaSet::LaunchAttempt(const std::shared_ptr<RaceState>& state,
       --state->outstanding;
     }
     state->cv.notify_all();
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      --inflight_;
-    }
+    // Notify under the lock: once the destructor can observe zero it may
+    // destroy inflight_cv_, so the broadcast must finish before unlock.
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    --inflight_;
     inflight_cv_.notify_all();
   }).detach();
 }

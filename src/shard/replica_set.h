@@ -62,10 +62,11 @@ struct ReplicaSetOptions {
 /// partial outage degrades to single-attempt behavior instead of
 /// amplifying load.
 ///
-/// Thread-safety: same contract as any ShardChannel (one in-flight query
-/// per method), plus internal threads (prober, hedge racers) that the
-/// destructor joins/waits out. Safe to destroy at any point after the
-/// last public call returns.
+/// Thread-safety: same contract as any ShardChannel (any method may be
+/// called concurrently): leases sit behind lease_mu_, breakers lock
+/// themselves and counters are atomics. Internal threads (prober, hedge
+/// racers) are joined/waited out by the destructor, so the set is safe
+/// to destroy at any point after the last public call returns.
 class ShardReplicaSet final : public ShardChannel {
  public:
   /// `budget` may be shared across sets (the per-coordinator bucket) or

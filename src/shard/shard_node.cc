@@ -78,14 +78,14 @@ Result<ShardPlanResult> ShardNode::Plan(const AggregateQuery& query,
     std::lock_guard<std::mutex> lock(mu_);
     out.token = next_token_++;
     sessions_.emplace(out.token,
-                      std::shared_ptr<QuerySession>(std::move(*session)));
+                      std::make_shared<PlanSession>(std::move(*session)));
   }
   return out;
 }
 
 Result<std::vector<NodeOutcome>> ShardNode::Validate(
     uint64_t token, std::span<const size_t> indices) {
-  std::shared_ptr<QuerySession> session;
+  std::shared_ptr<PlanSession> plan;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(token);
@@ -93,16 +93,17 @@ Result<std::vector<NodeOutcome>> ShardNode::Validate(
       return Status::NotFound("unknown shard plan token " +
                               std::to_string(token));
     }
-    session = it->second;
+    plan = it->second;
   }
   for (size_t idx : indices) {
-    if (idx >= session->num_candidates()) {
+    if (idx >= plan->session->num_candidates()) {
       return Status::OutOfRange("candidate index " + std::to_string(idx) +
                                 " out of range");
     }
   }
   std::vector<NodeOutcome> outcomes;
-  session->EvaluateBatch(indices, outcomes);
+  std::lock_guard<std::mutex> lock(plan->mu);
+  plan->session->EvaluateBatch(indices, outcomes);
   return outcomes;
 }
 

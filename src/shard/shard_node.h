@@ -49,6 +49,9 @@ class ShardNode {
 
   /// Validates a round's draws (global candidate indices, duplicates
   /// allowed) against the plan session `token`; one outcome per index.
+  /// Thread-safe; calls for one token run one at a time, because a
+  /// session's validation caches are not (a hedge loser may still be
+  /// validating when the query's next round arrives).
   Result<std::vector<NodeOutcome>> Validate(uint64_t token,
                                             std::span<const size_t> indices);
 
@@ -78,9 +81,17 @@ class ShardNode {
   KgPartitionInfo info_;
   std::unique_ptr<QueryService> service_;
 
+  /// One leased plan session and the lock that serializes its validates.
+  struct PlanSession {
+    explicit PlanSession(std::unique_ptr<QuerySession> s)
+        : session(std::move(s)) {}
+    std::unique_ptr<QuerySession> session;
+    std::mutex mu;
+  };
+
   mutable std::mutex mu_;
   uint64_t next_token_ = 1;
-  std::unordered_map<uint64_t, std::shared_ptr<QuerySession>> sessions_;
+  std::unordered_map<uint64_t, std::shared_ptr<PlanSession>> sessions_;
 };
 
 }  // namespace kgaq

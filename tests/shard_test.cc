@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -139,6 +141,70 @@ class FlakyValidateChannel final : public ShardChannel {
   std::atomic<int> calls_{0};
 };
 
+// Drops the last candidate of every owned slice this shard plans, as a
+// halo too small to reach it would: the merge's coverage check must fail
+// the query, and every shard's plan session must still be released.
+class TruncatingPlanChannel final : public ShardChannel {
+ public:
+  explicit TruncatingPlanChannel(std::unique_ptr<ShardChannel> inner)
+      : inner_(std::move(inner)) {}
+
+  Result<ShardPlanResult> Plan(const ShardPlanRequest& request) override {
+    auto plan = inner_->Plan(request);
+    if (plan.ok() && !plan->indices.empty()) {
+      plan->indices.pop_back();
+      plan->nodes.pop_back();
+      plan->probs.pop_back();
+    }
+    return plan;
+  }
+  Result<std::vector<NodeOutcome>> Validate(
+      const ShardValidateRequest& request) override {
+    return inner_->Validate(request);
+  }
+  Status Release(uint64_t token) override { return inner_->Release(token); }
+  Result<QueryResponse> SubQuery(const QueryRequest& request) override {
+    return inner_->SubQuery(request);
+  }
+
+ private:
+  std::unique_ptr<ShardChannel> inner_;
+};
+
+// Counts validate requests, and those that name a candidate more than
+// once: a round sends each drawn candidate to its owner once, however
+// often it was drawn.
+class DistinctIndicesChannel final : public ShardChannel {
+ public:
+  DistinctIndicesChannel(std::unique_ptr<ShardChannel> inner,
+                         std::atomic<int>* validates,
+                         std::atomic<int>* repeats)
+      : inner_(std::move(inner)), validates_(validates), repeats_(repeats) {}
+
+  Result<ShardPlanResult> Plan(const ShardPlanRequest& request) override {
+    return inner_->Plan(request);
+  }
+  Result<std::vector<NodeOutcome>> Validate(
+      const ShardValidateRequest& request) override {
+    std::vector<size_t> sorted = request.indices;
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+      repeats_->fetch_add(1);
+    }
+    validates_->fetch_add(1);
+    return inner_->Validate(request);
+  }
+  Status Release(uint64_t token) override { return inner_->Release(token); }
+  Result<QueryResponse> SubQuery(const QueryRequest& request) override {
+    return inner_->SubQuery(request);
+  }
+
+ private:
+  std::unique_ptr<ShardChannel> inner_;
+  std::atomic<int>* validates_;
+  std::atomic<int>* repeats_;
+};
+
 // Builds cuts + contexts + nodes for hand-assembled coordinators. The
 // returned struct owns everything the channels point into.
 struct ManualShards {
@@ -237,6 +303,116 @@ TEST(ShardedEngineTest, TwoAndFourShardMergeMatchesUnshardedBitwise) {
           << "shard " << s << " leaked a plan session";
     }
   }
+}
+
+// Execute runs concurrent callers' queries in parallel. Four threads
+// push the whole workload, each from a different starting query, into
+// one 2-shard x 2-replica engine: every answer stays bitwise-identical
+// to the flat service, the accounting identity holds, no plan session
+// leaks, and no validate request names a candidate twice.
+TEST(ShardedEngineTest, ConcurrentCallersMatchUnshardedBitwise) {
+  constexpr size_t kThreads = 4;
+  const auto& ds = MiniDataset();
+  const auto workload = MixedWorkload();
+  const auto& expected = UnshardedReference();
+  std::atomic<int> validates{0};
+  std::atomic<int> repeats{0};
+
+  ShardedEngineOptions opts;
+  opts.num_shards = 2;
+  opts.replicas_per_shard = 2;
+  opts.base_seed = kBaseSeed;
+  opts.wrap_channel = [&](std::unique_ptr<ShardChannel> ch, uint32_t,
+                          uint32_t) -> std::unique_ptr<ShardChannel> {
+    return std::make_unique<DistinctIndicesChannel>(std::move(ch), &validates,
+                                                    &repeats);
+  };
+  auto engine =
+      ShardedEngine::Create(ds.graph(), ds.reference_embedding(), opts);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+
+  std::vector<std::vector<QueryResponse>> responses(
+      kThreads, std::vector<QueryResponse>(workload.size()));
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      for (size_t k = 0; k < workload.size(); ++k) {
+        const size_t i = (t * workload.size() / kThreads + k) % workload.size();
+        QueryRequest req;
+        req.query = workload[i];
+        req.seed = QueryService::QuerySeed(kBaseSeed, i);
+        responses[t][i] = (*engine)->Execute(req);
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < workload.size(); ++i) {
+      const QueryResponse& resp = responses[t][i];
+      ASSERT_EQ(resp.state, QueryState::kDone)
+          << "thread " << t << ", query " << i << ": " << resp.status;
+      EXPECT_FALSE(resp.degraded) << "thread " << t << ", query " << i;
+      ExpectResultsBitwiseEqual(resp.result, expected[i], i);
+    }
+  }
+  const CoordinatorStats cs = (*engine)->coordinator().stats();
+  EXPECT_EQ(cs.submitted, kThreads * workload.size());
+  EXPECT_EQ(cs.done, kThreads * workload.size());
+  EXPECT_EQ(cs.submitted, CoordinatorBuckets(cs));
+  for (size_t s = 0; s < (*engine)->num_shards(); ++s) {
+    for (size_t r = 0; r < (*engine)->num_replicas(s); ++r) {
+      EXPECT_EQ((*engine)->node(s, r).live_plan_sessions(), 0u)
+          << "shard " << s << " replica " << r;
+    }
+  }
+  EXPECT_GT(validates.load(), 0);
+  EXPECT_EQ(repeats.load(), 0) << "validate requests with a repeated index";
+}
+
+// Validates of one plan token can overlap — a hedge loser may still be
+// running when its query's next round reaches the same session. The
+// session's validation caches are not thread-safe, so the node runs them
+// one at a time, and every caller gets the same outcomes.
+TEST(ShardNodeTest, OverlappingValidatesOfOneTokenAgree) {
+  ManualShards shards = BuildManualShards(2);
+  ShardNode& node = *shards.nodes[0];
+  EngineOptions options;
+  options.seed = QueryService::QuerySeed(kBaseSeed, 3);
+  auto plan = node.Plan(MixedWorkload()[3], options);  // a chain query
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_GT(plan->indices.size(), 1u);
+
+  constexpr size_t kCallers = 4;
+  std::vector<Result<std::vector<NodeOutcome>>> replies(
+      kCallers, Status::Internal("not run"));
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      std::vector<size_t> indices = plan->indices;
+      std::rotate(indices.begin(),
+                  indices.begin() + c * indices.size() / kCallers,
+                  indices.end());
+      replies[c] = node.Validate(plan->token, indices);
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  node.Release(plan->token);
+
+  const size_t n = plan->indices.size();
+  for (size_t c = 0; c < kCallers; ++c) {
+    ASSERT_TRUE(replies[c].ok()) << replies[c].status();
+    ASSERT_EQ(replies[c]->size(), n);
+    const size_t shift = c * n / kCallers;
+    for (size_t j = 0; j < n; ++j) {
+      const NodeOutcome& a = (*replies[0])[j];
+      const NodeOutcome& b = (*replies[c])[(j + n - shift) % n];
+      EXPECT_EQ(a.correct, b.correct) << "caller " << c << ", index " << j;
+      EXPECT_EQ(a.value, b.value) << "caller " << c << ", index " << j;
+      EXPECT_EQ(a.group_key, b.group_key) << "caller " << c << ", index " << j;
+    }
+  }
+  EXPECT_EQ(node.live_plan_sessions(), 0u);
 }
 
 // Remote mode: the same coordinator over HttpShardChannels speaking the
@@ -351,6 +527,43 @@ TEST(CoordinatorFailureTest, PlanLossYieldsDegradedPartialAnswer) {
   EXPECT_EQ(cs.submitted, CoordinatorBuckets(cs));
   for (size_t s = 0; s < 2; ++s) {
     EXPECT_EQ((*engine)->node(s).live_plan_sessions(), 0u);
+  }
+}
+
+// A merge that finds the owned slices short of the global array fails
+// the query with kInternal, and releases the plan session of every shard
+// that planned — not only when the injected `shard.merge` fault fires.
+TEST(CoordinatorFailureTest, MergeErrorReleasesEveryPlanSession) {
+  const auto& ds = MiniDataset();
+  ShardedEngineOptions opts;
+  opts.num_shards = 2;
+  opts.base_seed = kBaseSeed;
+  opts.wrap_channel = [](std::unique_ptr<ShardChannel> ch, uint32_t shard,
+                         uint32_t) -> std::unique_ptr<ShardChannel> {
+    if (shard != 1) return ch;
+    return std::make_unique<TruncatingPlanChannel>(std::move(ch));
+  };
+  auto engine =
+      ShardedEngine::Create(ds.graph(), ds.reference_embedding(), opts);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+
+  QueryRequest req;
+  req.query = MixedWorkload()[0];
+  QueryResponse resp = (*engine)->Execute(req);
+  ASSERT_EQ(resp.state, QueryState::kFailed);
+  EXPECT_EQ(resp.status.code(), StatusCode::kInternal);
+  const uint64_t nc = UnshardedReference()[0].num_candidates;
+  const std::string coverage = "owned slices cover " + std::to_string(nc - 1) +
+                               " of " + std::to_string(nc);
+  EXPECT_NE(resp.status.message().find(coverage), std::string::npos)
+      << resp.status;
+
+  const CoordinatorStats cs = (*engine)->coordinator().stats();
+  EXPECT_EQ(cs.failed, 1u);
+  EXPECT_EQ(cs.submitted, CoordinatorBuckets(cs));
+  for (size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ((*engine)->node(s).live_plan_sessions(), 0u)
+        << "shard " << s << " leaked a plan session";
   }
 }
 
