@@ -3,10 +3,13 @@
 //   1. generate the bench KG + planted embedding,
 //   2. answer a mixed workload on a flat (unsharded) QueryService,
 //   3. answer the SAME workload through an N-shard ShardedEngine in
-//      deterministic-merge mode with the same base seed,
-//   4. fail (exit 1) unless every answer is bitwise-identical —
-//      v_hat, moe, draw counts, rounds, per-group estimates — and the
-//      accounting identity holds at the coordinator and on every shard,
+//      deterministic-merge mode with the same base seed, once with one
+//      replica per shard and once with two (replica sets),
+//   4. fail (exit 1) unless, in both passes, every answer is
+//      bitwise-identical — v_hat, moe, draw counts, rounds, per-group
+//      estimates — the accounting identity holds at the coordinator and
+//      on every node, no node keeps a plan session, and no replica plan
+//      diverged,
 //   5. print per-mode wall-clock so scaling regressions are visible in
 //      the CI log, and run the federated mode once as a smoke (its
 //      combined estimates are NOT bitwise-comparable by design).
@@ -90,6 +93,81 @@ bool IdentityHolds(uint64_t submitted, uint64_t done, uint64_t failed,
   return true;
 }
 
+// One deterministic-merge pass over `shards` x `replicas` nodes, held to
+// every gate in the header comment. Stores the pass's wall-clock in *ms.
+bool DeterministicPass(const GeneratedDataset& ds,
+                       const std::vector<AggregateQuery>& workload,
+                       const std::vector<Result<AggregateResult>>& flat,
+                       uint32_t shards, uint32_t replicas, uint64_t seed,
+                       double* ms) {
+  ShardedEngineOptions shopts;
+  shopts.num_shards = shards;
+  shopts.replicas_per_shard = replicas;
+  shopts.base_seed = seed;
+  auto engine =
+      ShardedEngine::Create(ds.graph(), ds.reference_embedding(), shopts);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "sharded engine build failed: %s\n",
+                 engine.status().ToString().c_str());
+    return false;
+  }
+
+  bool ok = true;
+  WallTimer shard_timer;
+  for (size_t i = 0; i < workload.size(); ++i) {
+    QueryRequest req;
+    req.query = workload[i];
+    QueryResponse resp = (*engine)->Execute(req);
+    if (resp.state != QueryState::kDone || resp.degraded) {
+      std::fprintf(stderr, "sharded query %zu not clean: state=%s%s %s\n",
+                   i, QueryStateToString(resp.state),
+                   resp.degraded ? " (degraded)" : "",
+                   resp.status.ToString().c_str());
+      ok = false;
+      continue;
+    }
+    ok = BitwiseEqual(resp.result, *flat[i], i) && ok;
+  }
+  *ms = shard_timer.ElapsedMillis();
+
+  const CoordinatorStats cs = (*engine)->coordinator().stats();
+  ok = IdentityHolds(cs.submitted, cs.done, cs.failed, cs.cancelled,
+                     cs.deadline_expired, cs.rejected, cs.shed,
+                     "coordinator") &&
+       ok;
+  if (cs.submitted != workload.size()) {
+    std::fprintf(stderr, "coordinator lost track: submitted=%llu sent=%zu\n",
+                 static_cast<unsigned long long>(cs.submitted),
+                 workload.size());
+    ok = false;
+  }
+  for (size_t s = 0; s < (*engine)->num_shards(); ++s) {
+    for (size_t r = 0; r < (*engine)->num_replicas(s); ++r) {
+      ShardNode& node = (*engine)->node(s, r);
+      node.service().Drain();
+      const auto ss = node.service_stats();
+      char tier[64];
+      std::snprintf(tier, sizeof(tier), "shard %zu replica %zu", s, r);
+      ok = IdentityHolds(ss.submitted, ss.done, ss.failed, ss.cancelled,
+                         ss.deadline_expired, ss.rejected, ss.shed, tier) &&
+           ok;
+      if (node.live_plan_sessions() != 0) {
+        std::fprintf(stderr, "LEAK: %s holds %zu plan sessions\n", tier,
+                     node.live_plan_sessions());
+        ok = false;
+      }
+    }
+  }
+  for (const ChannelHealth& h : (*engine)->coordinator().channel_health()) {
+    if (h.divergent_plans != 0) {
+      std::fprintf(stderr, "DIVERGENCE: %llu replica plans differ\n",
+                   static_cast<unsigned long long>(h.divergent_plans));
+      ok = false;
+    }
+  }
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -135,66 +213,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The same workload through the sharded deployment.
-  ShardedEngineOptions shopts;
-  shopts.num_shards = shards;
-  shopts.base_seed = seed;
-  auto engine =
-      ShardedEngine::Create(ds.graph(), ds.reference_embedding(), shopts);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "sharded engine build failed: %s\n",
-                 engine.status().ToString().c_str());
-    return 1;
-  }
-
-  bool ok = true;
-  WallTimer shard_timer;
-  for (size_t i = 0; i < workload.size(); ++i) {
-    QueryRequest req;
-    req.query = workload[i];
-    QueryResponse resp = (*engine)->Execute(req);
-    if (resp.state != QueryState::kDone || resp.degraded) {
-      std::fprintf(stderr, "sharded query %zu not clean: state=%s%s %s\n",
-                   i, QueryStateToString(resp.state),
-                   resp.degraded ? " (degraded)" : "",
-                   resp.status.ToString().c_str());
-      ok = false;
-      continue;
-    }
-    ok = BitwiseEqual(resp.result, *flat[i], i) && ok;
-  }
-  const double shard_ms = shard_timer.ElapsedMillis();
-
-  const CoordinatorStats cs = (*engine)->coordinator().stats();
-  ok = IdentityHolds(cs.submitted, cs.done, cs.failed, cs.cancelled,
-                     cs.deadline_expired, cs.rejected, cs.shed,
-                     "coordinator") &&
+  // The same workload through the sharded deployment, unreplicated and
+  // with two replicas per shard.
+  double shard_ms = 0.0;
+  double replicated_ms = 0.0;
+  bool ok = DeterministicPass(ds, workload, flat, shards, /*replicas=*/1,
+                              seed, &shard_ms);
+  ok = DeterministicPass(ds, workload, flat, shards, /*replicas=*/2, seed,
+                         &replicated_ms) &&
        ok;
-  if (cs.submitted != workload.size()) {
-    std::fprintf(stderr, "coordinator lost track: submitted=%llu sent=%zu\n",
-                 static_cast<unsigned long long>(cs.submitted),
-                 workload.size());
-    ok = false;
-  }
-  for (size_t s = 0; s < (*engine)->num_shards(); ++s) {
-    (*engine)->node(s).service().Drain();
-    const auto ss = (*engine)->shard_stats()[s];
-    char tier[32];
-    std::snprintf(tier, sizeof(tier), "shard %zu", s);
-    ok = IdentityHolds(ss.submitted, ss.done, ss.failed, ss.cancelled,
-                       ss.deadline_expired, ss.rejected, ss.shed, tier) &&
-         ok;
-    if ((*engine)->node(s).live_plan_sessions() != 0) {
-      std::fprintf(stderr, "LEAK: shard %zu holds %zu plan sessions\n", s,
-                   (*engine)->node(s).live_plan_sessions());
-      ok = false;
-    }
-  }
 
   // Federated smoke: one COUNT through the one-round-trip mode. Its
   // combined estimate is a different estimator (docs/sharding.md), so
   // only clean completion is checked here.
-  ShardedEngineOptions fopts = shopts;
+  ShardedEngineOptions fopts;
+  fopts.num_shards = shards;
+  fopts.base_seed = seed;
   fopts.mode = ShardMode::kFederated;
   auto fed =
       ShardedEngine::Create(ds.graph(), ds.reference_embedding(), fopts);
@@ -218,17 +252,18 @@ int main(int argc, char** argv) {
 
   std::printf(
       "shard smoke: %zu queries, %u shards | flat %.1f ms, "
-      "deterministic-merge %.1f ms (%.2fx), federated single COUNT "
-      "%.1f ms\n",
+      "deterministic-merge %.1f ms (%.2fx), 2 replicas/shard %.1f ms, "
+      "federated single COUNT %.1f ms\n",
       workload.size(), shards, flat_ms, shard_ms, shard_ms / flat_ms,
-      fed_ms);
+      replicated_ms, fed_ms);
   if (!ok) {
     std::fprintf(stderr, "shard smoke FAILED\n");
     return 1;
   }
   std::printf(
       "shard smoke passed: %u-shard answers bitwise-identical to "
-      "unsharded, accounting identity holds\n",
+      "unsharded with 1 and 2 replicas per shard, accounting identity "
+      "holds\n",
       shards);
   return 0;
 }

@@ -52,9 +52,7 @@ namespace fault_injection {
 /// local and HTTP channels alike; `shard.merge` — the coordinator's
 /// plan merge fails with kInternal after releasing the shards' plan
 /// sessions; `shard.replica.probe` — an active health probe of a
-/// quarantined replica fails, keeping its breaker open;
-/// `shard.rpc.hedge` — a hedged validate fails at the launch decision,
-/// so the race degenerates to waiting on the primary). Grep
+/// quarantined replica fails, keeping its breaker open). Grep
 /// KGAQ_FAULT_POINT for the authoritative list.
 
 namespace internal {

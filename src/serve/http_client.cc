@@ -111,14 +111,22 @@ Result<HttpResponse> RetryingHttpClient::PooledFetch(
     // Applied before Connect so the timeout also bounds the handshake
     // (SO_SNDTIMEO covers a blocking connect on Linux).
     slot->conn.SetTimeoutMs(timeout_ms);
-    if (!reused) {
-      Status st = slot->conn.Connect(host, port);
-      if (!st.ok()) return st;
-      connected_now = true;
-    }
     // RoundTrip closes the socket itself on every transport error and on
     // Connection: close responses, so the pool never retains a connection
     // whose framing state is unknown; the next checkout reconnects.
+    if (reused) {
+      auto first = slot->conn.RoundTrip(method, target, body,
+                                        /*keep_alive=*/overflow == nullptr);
+      // kUnavailable on a reused socket: the server reaped it while idle
+      // and executed nothing. That is no outage, so resend at once on a
+      // fresh connection rather than through Fetch's backoff.
+      if (first.ok() || first.status().code() != StatusCode::kUnavailable) {
+        return first;
+      }
+    }
+    Status st = slot->conn.Connect(host, port);
+    if (!st.ok()) return st;
+    connected_now = true;
     return slot->conn.RoundTrip(method, target, body,
                                 /*keep_alive=*/overflow == nullptr);
   }();

@@ -46,11 +46,13 @@ struct RetryOptions {
 /// reconnected transparently when the server closes one (idle reap,
 /// max_keepalive_requests, or a transport error). What it retries:
 ///
-///   - kUnavailable transport errors: either the connect itself failed
-///     or a REUSED pooled connection died before yielding a single
-///     response byte (the server reaped it while we were idle) — in
-///     both cases no request executed, so retrying is safe for every
-///     method; the retry reconnects.
+///   - kUnavailable transport errors: the connect itself failed, so no
+///     request executed and retrying is safe for every method. A REUSED
+///     pooled connection that dies before yielding a single response
+///     byte (the server reaped it while we were idle) executed nothing
+///     either; the pooled transport resends at once on a fresh
+///     connection, with no backoff sleep, counted as a reconnect rather
+///     than a retry.
 ///   - kIoError transport errors (send/recv died mid-flight on a fresh
 ///     connection): the server MAY have executed the request, so these
 ///     retry only for idempotent methods (GET / HEAD). A POST /query

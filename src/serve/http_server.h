@@ -166,7 +166,7 @@ class HttpServer {
   /// Splices one extra top-level member into the GET /stats JSON object.
   /// The fn returns a complete `"key":{...}` fragment (or "" for none)
   /// and must be thread-safe — it runs inline on event-loop threads.
-  /// Used by the shard tier to surface breaker/failover/hedge counters
+  /// Used by the shard tier to surface breaker/failover counters
   /// (RenderShardTierJson, shard/coordinator.h) on the same /stats the
   /// flat service already serves. Install before Start().
   using StatsAugmenter = std::function<std::string()>;

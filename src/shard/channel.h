@@ -26,13 +26,12 @@ namespace kgaq {
 /// partial answers, kShardLost round abort — without real networks.
 ///
 /// Thread-safety: every method may be called concurrently — by different
-/// queries (Coordinator::Execute runs its callers in parallel), by the
-/// replica tier's hedge racers and background prober — so every
-/// implementation guards its own state. Calls for one plan token come
-/// from one query and are ordered by its rounds, except that a hedge
-/// loser may still be running when the next round's validate starts.
-/// LocalShardChannel defers to ShardNode (internally locked);
-/// HttpShardChannel rides the thread-safe RetryingHttpClient.
+/// queries (Coordinator::Execute runs its callers in parallel) and by the
+/// replica tier's background prober — so every implementation guards its
+/// own state. Calls for one plan token come from one query and are
+/// ordered by its rounds. LocalShardChannel defers to ShardNode
+/// (internally locked); HttpShardChannel rides the thread-safe
+/// RetryingHttpClient.
 class ShardChannel {
  public:
   virtual ~ShardChannel() = default;
@@ -66,7 +65,7 @@ class ShardChannel {
 
   /// Health snapshot for the /stats shard_tier rows. Plain channels
   /// report the default single-healthy-replica row; ShardReplicaSet
-  /// reports real breaker states and failover/hedge counters.
+  /// reports real breaker states and failover counters.
   virtual ChannelHealth health() const { return ChannelHealth{}; }
 };
 

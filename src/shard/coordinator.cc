@@ -578,8 +578,6 @@ std::string RenderShardTierJson(const Coordinator& coordinator) {
            ",\"failed_rpcs\":" + std::to_string(h.failed_rpcs) +
            ",\"breaker_opens\":" + std::to_string(h.breaker_opens) +
            ",\"breaker_rejected\":" + std::to_string(h.breaker_rejected) +
-           ",\"hedges_launched\":" + std::to_string(h.hedges_launched) +
-           ",\"hedges_won\":" + std::to_string(h.hedges_won) +
            ",\"budget_denied\":" + std::to_string(h.budget_denied) +
            ",\"probes\":" + std::to_string(h.probes) +
            ",\"probe_failures\":" + std::to_string(h.probe_failures) +

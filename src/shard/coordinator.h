@@ -149,7 +149,7 @@ class Coordinator {
 /// Renders the shard tier's health as a `"shard_tier":{...}` JSON
 /// fragment for HttpServer::SetStatsAugmenter: the coordinator's
 /// accounting buckets plus one row per shard with replica counts,
-/// breaker states, and failover/hedge/budget counters.
+/// breaker states, and failover/budget counters.
 std::string RenderShardTierJson(const Coordinator& coordinator);
 
 }  // namespace kgaq

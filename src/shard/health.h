@@ -13,8 +13,8 @@ namespace kgaq {
 /// Health machinery for the replicated shard tier (docs/sharding.md,
 /// "Replication & failover"): a per-channel circuit breaker driven by
 /// passive per-RPC outcomes plus active probing, and a shared retry
-/// budget that keeps failover/hedging from amplifying load during a
-/// partial outage. Both are small, self-contained state machines in the
+/// budget that keeps failover from amplifying load during a partial
+/// outage. Both are small, self-contained state machines in the
 /// lineage of OverloadState / MemoryPressure: explicit states, hysteresis
 /// against flapping, every transition observable through counters.
 
@@ -41,8 +41,8 @@ struct BreakerOptions {
   double open_cooldown_ms = 250.0;
 };
 
-/// One channel's breaker. Thread-safe: the replica set's traffic threads,
-/// hedge threads, and the background prober all drive the same instance.
+/// One channel's breaker. Thread-safe: the replica set's traffic threads
+/// and the background prober both drive the same instance.
 ///
 /// Usage per call: `Admit()` before the RPC — kReject means skip this
 /// replica, kProceed/kProbe mean call it — then exactly one of
@@ -93,10 +93,10 @@ struct RetryBudgetOptions {
 };
 
 /// Token bucket shared by every replica set under one coordinator: each
-/// failover retry and each hedged RPC costs one token, each successful
-/// RPC earns a fraction back. When the bucket is dry the tier returns
-/// the primary's error instead of fanning more load onto whatever is
-/// still alive — the load-amplification guard for partial outages.
+/// failover attempt costs one token, each successful RPC earns a
+/// fraction back. When the bucket is dry the tier returns the last
+/// replica's error instead of fanning more load onto whatever is still
+/// alive — the load-amplification guard for partial outages.
 /// Thread-safe.
 class RetryBudget {
  public:
@@ -131,8 +131,9 @@ struct ChannelHealth {
   uint64_t failed_rpcs = 0;
   uint64_t breaker_opens = 0;
   uint64_t breaker_rejected = 0;
+  /// Always 0: the replica tier does not hedge. Kept only because
+  /// e2ebench/e2e_bench.cc still reads it; not rendered at /stats.
   uint64_t hedges_launched = 0;
-  uint64_t hedges_won = 0;  ///< races the hedged call won outright
   uint64_t budget_denied = 0;
   uint64_t probes = 0;
   uint64_t probe_failures = 0;

@@ -1,10 +1,11 @@
 #include "shard/replica_set.h"
 
 #include <chrono>
+#include <numeric>
+#include <string>
 #include <utility>
 
 #include "common/fault_injection.h"
-#include "common/thread_pool.h"
 
 namespace kgaq {
 
@@ -26,7 +27,10 @@ bool PlansBitIdentical(const ShardPlanResult& a, const ShardPlanResult& b) {
 ShardReplicaSet::ShardReplicaSet(
     std::vector<std::unique_ptr<ShardChannel>> replicas,
     ReplicaSetOptions options, std::shared_ptr<RetryBudget> budget)
-    : options_(options), budget_(std::move(budget)) {
+    : in_order_(replicas.size()),
+      options_(options),
+      budget_(std::move(budget)) {
+  std::iota(in_order_.begin(), in_order_.end(), size_t{0});
   replicas_.reserve(replicas.size());
   for (auto& ch : replicas) {
     replicas_.push_back(
@@ -38,18 +42,13 @@ ShardReplicaSet::ShardReplicaSet(
 }
 
 ShardReplicaSet::~ShardReplicaSet() {
-  if (prober_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(prober_mu_);
-      stop_prober_ = true;
-    }
-    prober_cv_.notify_all();
-    prober_.join();
+  if (!prober_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(prober_mu_);
+    stop_prober_ = true;
   }
-  // Outlive every racer: a hedge loser still holds `this` and a channel
-  // pointer until its RPC returns.
-  std::unique_lock<std::mutex> lock(inflight_mu_);
-  inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
+  prober_cv_.notify_all();
+  prober_.join();
 }
 
 void ShardReplicaSet::RecordOutcome(size_t r, bool ok) {
@@ -66,73 +65,80 @@ void ShardReplicaSet::RecordOutcome(size_t r, bool ok) {
   }
 }
 
+template <typename T, typename Attempt>
+Result<T> ShardReplicaSet::Failover(const std::vector<size_t>& order,
+                                    const Deadline& deadline,
+                                    Attempt attempt) {
+  Result<T> last =
+      Status::Unavailable("no replica of this shard admits traffic");
+  size_t next = 0;
+  for (bool first = true;; first = false) {
+    if (!first) {
+      // No retry outlives the query's deadline, and each costs a budget
+      // token so a fleet-wide brownout cannot turn into a retry storm.
+      if (deadline.expired()) {
+        return Status::Unavailable(
+            "failover abandoned: query deadline expired");
+      }
+      if (budget_ && !budget_->TryAcquire()) {
+        budget_denied_.fetch_add(1, std::memory_order_relaxed);
+        return last;
+      }
+    }
+    // A breaker rejection consumes the replica for this call: asking
+    // again microseconds later would only burn the HalfOpen probe slot.
+    while (next < order.size() && replicas_[order[next]]->breaker.Admit() ==
+                                      CircuitBreaker::Gate::kReject) {
+      ++next;
+    }
+    if (next == order.size()) return last;
+    const size_t r = order[next++];
+    if (!first) failovers_.fetch_add(1, std::memory_order_relaxed);
+    last = attempt(r);
+    RecordOutcome(r, last.ok());
+    if (last.ok()) return last;
+  }
+}
+
 Result<ShardPlanResult> ShardReplicaSet::Plan(const ShardPlanRequest& request) {
-  const size_t n = replicas_.size();
-  if (n == 0) return Status::InvalidArgument("replica set is empty");
+  size_t holder = 0;
+  auto plan = Failover<ShardPlanResult>(
+      in_order_, request.deadline, [&](size_t r) {
+        holder = r;
+        return replicas_[r]->channel->Plan(request);
+      });
+  if (!plan.ok()) return plan;
 
-  // Admit on the calling thread (breaker state changes must not race the
-  // fan-out), then plan every admitted replica in parallel. Planning on
-  // ALL healthy replicas up front is what buys transparent mid-run
-  // failover: by the time a validate fails over, the surviving replica
-  // already holds an identical plan session.
-  std::vector<char> admitted(n, 0);
-  for (size_t r = 0; r < n; ++r) {
-    admitted[r] = replicas_[r]->breaker.Admit() != CircuitBreaker::Gate::kReject;
-  }
+  auto lease = std::make_shared<PlanLease>();
+  lease->request = request;
+  lease->plan = *plan;
+  lease->tokens.resize(replicas_.size());
+  lease->tokens[holder] = plan->token;
+  std::lock_guard<std::mutex> lock(lease_mu_);
+  plan->token = next_token_++;
+  leases_.emplace(plan->token, std::move(lease));
+  return plan;
+}
 
-  std::vector<Result<ShardPlanResult>> results(
-      n, Result<ShardPlanResult>(Status::Unavailable("replica breaker open")));
-  ParallelFor(GlobalPool(), n, [&](size_t r) {
-    if (!admitted[r]) return;
-    results[r] = replicas_[r]->channel->Plan(request);
-    RecordOutcome(r, results[r].ok());
-  });
-
-  // First success is the canonical plan; every other success must match
-  // it bit-for-bit or it is dropped from the lease (a diverging replica
-  // would break parity on failover, which is worse than losing a spare).
-  size_t primary = n;
-  for (size_t r = 0; r < n; ++r) {
-    if (results[r].ok()) {
-      primary = r;
-      break;
-    }
+Result<uint64_t> ShardReplicaSet::SessionOn(size_t r, PlanLease& lease) {
+  if (lease.tokens[r]) return *lease.tokens[r];
+  auto plan = replicas_[r]->channel->Plan(lease.request);
+  if (!plan.ok()) return plan.status();
+  if (!PlansBitIdentical(lease.plan, *plan)) {
+    // Failing the attempt feeds the breaker, so a replica that serves
+    // another snapshot is quarantined rather than asked again and again.
+    divergent_plans_.fetch_add(1, std::memory_order_relaxed);
+    replicas_[r]->channel->Release(plan->token);
+    return Status::Internal("replica " + std::to_string(r) +
+                            " planned differently from the shard's first plan");
   }
-  if (primary == n) {
-    for (size_t r = n; r-- > 0;) {
-      if (admitted[r]) return results[r].status();
-    }
-    return results[n - 1].status();
-  }
-
-  PlanLease lease;
-  lease.tokens.assign(n, 0);
-  lease.has.assign(n, false);
-  lease.tokens[primary] = results[primary]->token;
-  lease.has[primary] = true;
-  for (size_t r = primary + 1; r < n; ++r) {
-    if (!results[r].ok()) continue;
-    if (!PlansBitIdentical(*results[primary], *results[r])) {
-      divergent_plans_.fetch_add(1, std::memory_order_relaxed);
-      replicas_[r]->channel->Release(results[r]->token);
-      continue;
-    }
-    lease.tokens[r] = results[r]->token;
-    lease.has[r] = true;
-  }
-
-  ShardPlanResult out = std::move(*results[primary]);
-  {
-    std::lock_guard<std::mutex> lock(lease_mu_);
-    out.token = next_token_++;
-    leases_.emplace(out.token, std::move(lease));
-  }
-  return out;
+  lease.tokens[r] = plan->token;
+  return plan->token;
 }
 
 Result<std::vector<NodeOutcome>> ShardReplicaSet::Validate(
     const ShardValidateRequest& request) {
-  PlanLease lease;
+  std::shared_ptr<PlanLease> lease;
   {
     std::lock_guard<std::mutex> lock(lease_mu_);
     auto it = leases_.find(request.token);
@@ -141,167 +147,26 @@ Result<std::vector<NodeOutcome>> ShardReplicaSet::Validate(
     }
     lease = it->second;
   }
-
-  // Candidates: replicas holding a live plan session, preferred order.
-  std::vector<size_t> candidates;
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    if (lease.has[r]) candidates.push_back(r);
-  }
-
-  Status last =
-      Status::Unavailable("no live replica holds a plan session for this shard");
-  std::vector<bool> used(candidates.size(), false);
-  bool first = true;
-  for (;;) {
-    if (!first) {
-      // Failover attempts (beyond the first) are gated twice: no retry
-      // outlives the query's deadline, and each costs a budget token so
-      // a fleet-wide brownout cannot turn into a retry storm.
-      if (request.deadline.expired()) {
-        last = Status::Unavailable("failover abandoned: query deadline expired");
-        break;
-      }
-      if (budget_ && !budget_->TryAcquire()) {
-        budget_denied_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-    }
-    // Next unused candidate whose breaker admits; a rejection consumes
-    // the candidate for this call (the breaker said no — asking again
-    // microseconds later would only burn the HalfOpen probe slot).
-    size_t pos = candidates.size();
-    for (size_t k = 0; k < candidates.size(); ++k) {
-      if (used[k]) continue;
-      used[k] = true;
-      if (replicas_[candidates[k]]->breaker.Admit() !=
-          CircuitBreaker::Gate::kReject) {
-        pos = k;
-        break;
-      }
-    }
-    if (pos == candidates.size()) break;
-    if (!first) failovers_.fetch_add(1, std::memory_order_relaxed);
-
-    const size_t r = candidates[pos];
-    if (first && options_.hedge_after_ms > 0.0 && candidates.size() > 1) {
-      auto out = HedgedValidate(request, candidates, used, pos, lease);
-      if (out.ok()) return out;
-      last = out.status();
-    } else {
-      ShardValidateRequest req = request;
-      req.token = lease.tokens[r];
-      auto out = replicas_[r]->channel->Validate(req);
-      RecordOutcome(r, out.ok());
-      if (out.ok()) return out;
-      last = out.status();
-    }
-    first = false;
-  }
-  return last;
-}
-
-void ShardReplicaSet::LaunchAttempt(const std::shared_ptr<RaceState>& state,
-                                    size_t r, ShardValidateRequest request) {
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    ++inflight_;
-  }
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    ++state->outstanding;
-  }
-  // Detached rather than pooled: a racer may block for a full RPC
-  // timeout, and parking a pool worker under it could deadlock the very
-  // ParallelFor the coordinator is running this validate from. The
-  // inflight_ counter (waited in the destructor) bounds their lifetime.
-  std::thread([this, state, r, req = std::move(request)]() {
-    auto out = replicas_[r]->channel->Validate(req);
-    RecordOutcome(r, out.ok());
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (out.ok() && !state->winner_set) {
-        state->winner_set = true;
-        state->winner_replica = r;
-        state->winner = std::move(out);
-      } else if (!out.ok()) {
-        state->last_error = out.status();
-      }
-      --state->outstanding;
-    }
-    state->cv.notify_all();
-    // Notify under the lock: once the destructor can observe zero it may
-    // destroy inflight_cv_, so the broadcast must finish before unlock.
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    --inflight_;
-    inflight_cv_.notify_all();
-  }).detach();
-}
-
-Result<std::vector<NodeOutcome>> ShardReplicaSet::HedgedValidate(
-    const ShardValidateRequest& request, const std::vector<size_t>& candidates,
-    std::vector<bool>& used, size_t primary_pos, const PlanLease& lease) {
-  auto state = std::make_shared<RaceState>();
-  const size_t primary = candidates[primary_pos];
-  {
-    ShardValidateRequest req = request;
-    req.token = lease.tokens[primary];
-    LaunchAttempt(state, primary, std::move(req));
-  }
-
-  const auto hedge_wait =
-      std::chrono::duration<double, std::milli>(options_.hedge_after_ms);
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait_for(lock, hedge_wait, [&] {
-    return state->winner_set || state->outstanding == 0;
-  });
-
-  if (!state->winner_set && state->outstanding > 0) {
-    // Primary is slow. Hedge: race the identical validate against the
-    // next healthy session-holding replica — validation is read-only, so
-    // whichever answer loses is simply discarded. Budget-gated (a hedge
-    // is a speculative retry) and fault-injectable at the launch
-    // decision.
-    if (!budget_ || budget_->TryAcquire()) {
-      hedges_launched_.fetch_add(1, std::memory_order_relaxed);
-      if (!KGAQ_FAULT_POINT("shard.rpc.hedge")) {
-        size_t hedge_pos = candidates.size();
-        for (size_t k = 0; k < candidates.size(); ++k) {
-          if (used[k]) continue;
-          used[k] = true;
-          if (replicas_[candidates[k]]->breaker.Admit() !=
-              CircuitBreaker::Gate::kReject) {
-            hedge_pos = k;
-            break;
-          }
-        }
-        if (hedge_pos != candidates.size()) {
-          const size_t r = candidates[hedge_pos];
-          ShardValidateRequest req = request;
-          req.token = lease.tokens[r];
-          lock.unlock();
-          LaunchAttempt(state, r, std::move(req));
-          lock.lock();
-        }
-      }
-    } else {
-      budget_denied_.fetch_add(1, std::memory_order_relaxed);
+  // Replicas holding a session first; the rest would have to re-plan.
+  std::vector<size_t> order;
+  for (const bool holds : {true, false}) {
+    for (size_t r = 0; r < replicas_.size(); ++r) {
+      if (lease->tokens[r].has_value() == holds) order.push_back(r);
     }
   }
-
-  state->cv.wait(lock,
-                 [&] { return state->winner_set || state->outstanding == 0; });
-  if (!state->winner_set) return state->last_error;
-  if (state->winner_replica != primary) {
-    hedges_won_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // The loser (if still running) finishes on its racer thread, feeds its
-  // breaker, and its result is dropped — safe because validation holds
-  // no per-call state on the shard.
-  return state->winner;
+  return Failover<std::vector<NodeOutcome>>(
+      order, request.deadline,
+      [&](size_t r) -> Result<std::vector<NodeOutcome>> {
+        auto token = SessionOn(r, *lease);
+        if (!token.ok()) return token.status();
+        ShardValidateRequest req = request;
+        req.token = *token;
+        return replicas_[r]->channel->Validate(req);
+      });
 }
 
 Status ShardReplicaSet::Release(uint64_t token) {
-  PlanLease lease;
+  std::shared_ptr<PlanLease> lease;
   {
     std::lock_guard<std::mutex> lock(lease_mu_);
     auto it = leases_.find(token);
@@ -309,50 +174,30 @@ Status ShardReplicaSet::Release(uint64_t token) {
     lease = std::move(it->second);
     leases_.erase(it);
   }
-  // Every replica that holds a session gets the release, breakers
-  // notwithstanding: Release is best-effort cleanup, and routing it
-  // through Admit could burn a HalfOpen probe slot on a call whose
-  // failure is benign. Failures are swallowed (a dead replica keeps
-  // nothing to drop) and deliberately NOT fed to the breaker — cleanup
-  // outcomes should not flap health state.
+  // Every replica that planned gets the release, breakers notwithstanding:
+  // Release is best-effort cleanup, and routing it through Admit could
+  // burn a HalfOpen probe slot on a call whose failure is benign.
+  // Failures are swallowed (a dead replica keeps nothing to drop) and
+  // deliberately NOT fed to the breaker — cleanup outcomes should not
+  // flap health state.
   Status out = Status::OK();
   for (size_t r = 0; r < replicas_.size(); ++r) {
-    if (!lease.has[r]) continue;
-    Status st = replicas_[r]->channel->Release(lease.tokens[r]);
+    if (!lease->tokens[r]) continue;
+    Status st = replicas_[r]->channel->Release(*lease->tokens[r]);
     if (!st.ok()) out = st;
   }
   return out;
 }
 
 Result<QueryResponse> ShardReplicaSet::SubQuery(const QueryRequest& request) {
-  Status last = Status::Unavailable("no replica available for sub-query");
-  std::vector<bool> used(replicas_.size(), false);
-  bool first = true;
-  for (;;) {
-    if (!first) {
-      if (budget_ && !budget_->TryAcquire()) {
-        budget_denied_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-    }
-    size_t r = replicas_.size();
-    for (size_t k = 0; k < replicas_.size(); ++k) {
-      if (used[k]) continue;
-      used[k] = true;
-      if (replicas_[k]->breaker.Admit() != CircuitBreaker::Gate::kReject) {
-        r = k;
-        break;
-      }
-    }
-    if (r == replicas_.size()) break;
-    if (!first) failovers_.fetch_add(1, std::memory_order_relaxed);
-    auto out = replicas_[r]->channel->SubQuery(request);
-    RecordOutcome(r, out.ok());
-    if (out.ok()) return out;
-    last = out.status();
-    first = false;
-  }
-  return last;
+  // The sub-query's deadline runs from its submission on the shard, so it
+  // has certainly passed once deadline_ms has elapsed from here.
+  const Deadline deadline = request.deadline_ms > 0.0
+                                ? Deadline::AfterMillis(request.deadline_ms)
+                                : Deadline::Infinite();
+  return Failover<QueryResponse>(in_order_, deadline, [&](size_t r) {
+    return replicas_[r]->channel->SubQuery(request);
+  });
 }
 
 Status ShardReplicaSet::Probe() {
@@ -416,8 +261,6 @@ ChannelHealth ShardReplicaSet::health() const {
   h.breaker_rejected = rejected;
   h.failovers = failovers_.load(std::memory_order_relaxed);
   h.failed_rpcs = failed_rpcs_.load(std::memory_order_relaxed);
-  h.hedges_launched = hedges_launched_.load(std::memory_order_relaxed);
-  h.hedges_won = hedges_won_.load(std::memory_order_relaxed);
   h.budget_denied = budget_denied_.load(std::memory_order_relaxed);
   h.probes = probes_.load(std::memory_order_relaxed);
   h.probe_failures = probe_failures_.load(std::memory_order_relaxed);

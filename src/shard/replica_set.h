@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -18,14 +19,6 @@ namespace kgaq {
 struct ReplicaSetOptions {
   /// Per-replica circuit-breaker tuning (shard/health.h).
   BreakerOptions breaker;
-  /// Hedged validate RPCs: when > 0 and the primary replica has not
-  /// answered within this many milliseconds, the same (read-only, hence
-  /// idempotent) validate is raced against a second healthy replica and
-  /// the first response wins; the loser is simply ignored — validation
-  /// mutates nothing, so "cancellation" is free. Off by default; every
-  /// hedge costs a retry-budget token so tail-chasing cannot amplify an
-  /// outage. Evaluated through the `shard.rpc.hedge` fault point.
-  double hedge_after_ms = 0.0;
   /// Active health probing: when > 0, a background thread wakes at this
   /// interval and probes every replica whose breaker is not Closed
   /// (through the breaker's HalfOpen gate and the `shard.replica.probe`
@@ -42,13 +35,15 @@ struct ReplicaSetOptions {
 ///
 /// The parity-preserving trick: shard snapshots are immutable and every
 /// shard-side computation (plan, per-draw validation) is a pure function
-/// of the snapshot, so replicas built over the SAME snapshot give
-/// bit-identical answers. Plan() therefore fans out to every admitted
-/// replica and leases one plan session PER replica under a single
-/// virtual token (verifying the replica plans really are bit-identical);
-/// Validate() routes each batch to the first healthy replica holding a
-/// session and fails over transparently to the next on error — the
-/// surviving replica's session replays the identical validation, so a
+/// of snapshot, query and seed, so replicas built over the SAME snapshot
+/// give bit-identical answers. Plan() therefore builds one plan session
+/// per query, on the first replica that admits traffic, and keeps the
+/// request in the lease. Validate() routes each batch to a replica that
+/// already holds a session and fails over to the next on error; a
+/// replica without one first re-plans the lease's request, and that plan
+/// must equal the first bit for bit (a mismatch — a replica serving
+/// another snapshot — is released, counted in `divergent_plans` and fails
+/// the attempt). The survivor replays the identical validation, so a
 /// mid-run failover is invisible in the answer (`degraded` stays false).
 /// Only when the ENTIRE set is down does a call fail, and only then does
 /// the coordinator see StopCause::kShardLost.
@@ -57,16 +52,15 @@ struct ReplicaSetOptions {
 /// (Closed -> Open stops traffic to a dead replica; the open hook calls
 /// ShardChannel::OnQuarantined so HTTP transports evict pooled sockets),
 /// and an optional background prober closes breakers when replicas
-/// recover. Every failover retry and every hedge draws on a retry
-/// budget — shared across all of a coordinator's replica sets — so a
-/// partial outage degrades to single-attempt behavior instead of
-/// amplifying load.
+/// recover. Every failover attempt draws on a retry budget — shared
+/// across all of a coordinator's replica sets — so a partial outage
+/// degrades to single-attempt behavior instead of amplifying load.
 ///
 /// Thread-safety: same contract as any ShardChannel (any method may be
-/// called concurrently): leases sit behind lease_mu_, breakers lock
-/// themselves and counters are atomics. Internal threads (prober, hedge
-/// racers) are joined/waited out by the destructor, so the set is safe
-/// to destroy at any point after the last public call returns.
+/// called concurrently): the lease map sits behind lease_mu_, breakers
+/// lock themselves and counters are atomics. The destructor joins the
+/// background prober, so the set is safe to destroy at any point after
+/// the last public call returns.
 class ShardReplicaSet final : public ShardChannel {
  public:
   /// `budget` may be shared across sets (the per-coordinator bucket) or
@@ -99,64 +93,51 @@ class ShardReplicaSet final : public ShardChannel {
     std::unique_ptr<ShardChannel> channel;
     CircuitBreaker breaker;
   };
-  /// Per-query session map: virtual token -> the per-replica plan tokens
-  /// backing it.
+  /// One query's plan on this shard: the request and the first plan (a
+  /// failover re-plans the request and checks the result against it),
+  /// plus the session token each replica holds, if any. `tokens` is
+  /// touched only by calls for this lease, which the channel contract
+  /// orders, so it needs no lock.
   struct PlanLease {
-    std::vector<uint64_t> tokens;
-    std::vector<bool> has;
-  };
-  /// Shared scoreboard of one primary-vs-hedge validate race.
-  struct RaceState {
-    std::mutex mu;
-    std::condition_variable cv;
-    int outstanding = 0;
-    bool winner_set = false;
-    size_t winner_replica = 0;
-    Result<std::vector<NodeOutcome>> winner{
-        Status::Internal("race not finished")};
-    Status last_error = Status::Unavailable("no attempt completed");
+    ShardPlanRequest request;
+    ShardPlanResult plan;
+    std::vector<std::optional<uint64_t>> tokens;
   };
 
+  /// The one failover loop behind Plan, Validate and SubQuery: runs
+  /// `attempt(r)` on the replicas of `order` whose breakers admit, in
+  /// order, until one succeeds. Every attempt after the first is a
+  /// failover: it must fit `deadline` and costs a retry-budget token,
+  /// both checked before Admit so a granted HalfOpen slot is never
+  /// stranded. Returns the first success or the last error.
+  template <typename T, typename Attempt>
+  Result<T> Failover(const std::vector<size_t>& order,
+                     const Deadline& deadline, Attempt attempt);
+  /// The plan-session token replica `r` holds for `lease`, re-planning
+  /// the lease's request there first if it holds none.
+  Result<uint64_t> SessionOn(size_t r, PlanLease& lease);
   /// Feeds the breaker (and the open-time quarantine hook) with one RPC
-  /// outcome. Thread-safe; called from traffic, hedge and probe paths.
+  /// outcome. Thread-safe; called from traffic and probe paths.
   void RecordOutcome(size_t r, bool ok);
-  /// Fire-and-record one validate on a detached racer thread.
-  void LaunchAttempt(const std::shared_ptr<RaceState>& state, size_t r,
-                     ShardValidateRequest request);
-  /// First-attempt validate with optional hedging; consumes candidate
-  /// positions from `used`. Returns the winner or an error once every
-  /// launched attempt failed.
-  Result<std::vector<NodeOutcome>> HedgedValidate(
-      const ShardValidateRequest& request,
-      const std::vector<size_t>& candidates, std::vector<bool>& used,
-      size_t primary_pos, const PlanLease& lease);
   void ProberLoop();
 
   /// Heap-allocated: CircuitBreaker owns a mutex, so Replica cannot move.
   std::vector<std::unique_ptr<Replica>> replicas_;
+  std::vector<size_t> in_order_;  ///< 0..R-1, the Plan/SubQuery order
   ReplicaSetOptions options_;
   std::shared_ptr<RetryBudget> budget_;
 
   std::mutex lease_mu_;
   uint64_t next_token_ = 1;
-  std::unordered_map<uint64_t, PlanLease> leases_;
+  std::unordered_map<uint64_t, std::shared_ptr<PlanLease>> leases_;
 
-  // Counters are atomics: hedge racer threads and the prober bump them
-  // concurrently with traffic.
+  // Atomics: concurrent queries and the prober bump them.
   std::atomic<uint64_t> failovers_{0};
   std::atomic<uint64_t> failed_rpcs_{0};
-  std::atomic<uint64_t> hedges_launched_{0};
-  std::atomic<uint64_t> hedges_won_{0};
   std::atomic<uint64_t> budget_denied_{0};
   std::atomic<uint64_t> probes_{0};
   std::atomic<uint64_t> probe_failures_{0};
   std::atomic<uint64_t> divergent_plans_{0};
-
-  /// In-flight racer threads; the destructor waits for zero so a loser
-  /// thread can never outlive the channels it borrows.
-  std::mutex inflight_mu_;
-  std::condition_variable inflight_cv_;
-  size_t inflight_ = 0;
 
   std::mutex prober_mu_;
   std::condition_variable prober_cv_;

@@ -50,8 +50,9 @@ class ShardNode {
   /// Validates a round's draws (global candidate indices, duplicates
   /// allowed) against the plan session `token`; one outcome per index.
   /// Thread-safe; calls for one token run one at a time, because a
-  /// session's validation caches are not (a hedge loser may still be
-  /// validating when the query's next round arrives).
+  /// session's validation caches are not (a validate that timed out on
+  /// the client may still be running here when the query's next round
+  /// comes back to this replica).
   Result<std::vector<NodeOutcome>> Validate(uint64_t token,
                                             std::span<const size_t> indices);
 

@@ -16,8 +16,8 @@ std::vector<QueryService::ServiceStats> ShardedEngine::shard_stats() const {
 Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Assemble(
     std::unique_ptr<ShardedEngine> engine,
     const ShardedEngineOptions& options) {
-  // One retry budget for the whole engine: failover on shard 0 and a
-  // hedge on shard 3 drain the same bucket, which is the point.
+  // One retry budget for the whole engine: failovers on shard 0 and on
+  // shard 3 drain the same bucket, which is the point.
   auto budget = std::make_shared<RetryBudget>(options.retry_budget);
   std::vector<std::unique_ptr<ShardChannel>> channels;
   channels.reserve(engine->nodes_.size());

@@ -33,11 +33,11 @@ struct ShardedEngineOptions {
   /// transparent failover: any query finishes undegraded while at least
   /// one replica of every shard survives.
   uint32_t replicas_per_shard = 1;
-  /// Replica-tier tuning (breakers, hedging, probing); used when
+  /// Replica-tier tuning (breakers, probing); used when
   /// replicas_per_shard > 1.
   ReplicaSetOptions replica;
-  /// Failover/hedge retry budget, shared across ALL of this engine's
-  /// replica sets so a multi-shard brownout cannot multiply attempts.
+  /// Failover retry budget, shared across ALL of this engine's replica
+  /// sets so a multi-shard brownout cannot multiply attempts.
   RetryBudgetOptions retry_budget;
   /// Test/chaos seam: when set, every replica channel is passed through
   /// this wrapper before wiring (e.g. KillSwitchChannel). Applied to

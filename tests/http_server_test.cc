@@ -879,13 +879,16 @@ TEST(HttpEventLoopTest, PooledClientReusesThenReconnectsAfterIdleReap) {
 
   // Outlive the server's idle reap: the pooled socket is dead, the next
   // Fetch sees zero response bytes on a REUSED connection (kUnavailable,
-  // nothing executed) and transparently reconnects — even for POST.
+  // nothing executed) and transparently reconnects — even for POST —
+  // at once: a reaped socket is no outage, so no backoff sleep and no
+  // retry.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   auto r3 = client.Fetch("127.0.0.1", stack.server->port(), "POST",
                          "/query", UnsatisfiableText());
   ASSERT_TRUE(r3.ok()) << r3.status();
   EXPECT_EQ(r3->status_code, 202) << r3->body;
   EXPECT_EQ(client.stats().reconnects, 2u);
+  EXPECT_EQ(client.stats().retries, 0u);
 }
 
 // The per-host pool grows on demand up to connections_per_host: while a

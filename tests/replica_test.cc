@@ -134,7 +134,7 @@ TEST(HttpShardChannelTest, EffectiveTimeoutClampsToRemainingDeadline) {
 // ShardReplicaSet over scripted fake channels
 
 // A scripted in-memory shard: fixed 4-candidate plan, outcome-per-index
-// validates, per-method failure switches and an optional validate delay.
+// validates and per-method failure switches.
 class FakeChannel final : public ShardChannel {
  public:
   Result<ShardPlanResult> Plan(const ShardPlanRequest& /*request*/) override {
@@ -153,10 +153,6 @@ class FakeChannel final : public ShardChannel {
   Result<std::vector<NodeOutcome>> Validate(
       const ShardValidateRequest& request) override {
     ++validate_calls;
-    if (validate_delay_ms > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(validate_delay_ms));
-    }
     if (fail_validate.load()) return Status::Unavailable("fake validate down");
     std::vector<NodeOutcome> out(request.indices.size());
     for (size_t i = 0; i < out.size(); ++i) {
@@ -188,7 +184,6 @@ class FakeChannel final : public ShardChannel {
   std::atomic<bool> fail_validate{false};
   std::atomic<bool> fail_subquery{false};
   std::atomic<bool> fail_probe{false};
-  double validate_delay_ms = 0.0;
   double plan_skew = 0.0;
   std::atomic<int> plan_calls{0};
   std::atomic<int> validate_calls{0};
@@ -226,13 +221,13 @@ ShardValidateRequest ValidateReq(uint64_t token) {
   return req;
 }
 
-TEST(ShardReplicaSetTest, PlanFansOutValidateRoutesToPrimary) {
+TEST(ShardReplicaSetTest, PlansOnOneReplicaValidateRoutesToPrimary) {
   FakeSet fs = MakeFakeSet(2);
   auto plan = fs.set->Plan(ShardPlanRequest{});
   ASSERT_TRUE(plan.ok()) << plan.status();
-  // Both replicas planned eagerly — that is what makes failover free.
+  // One plan per shard: the spare plans only if a validate fails over.
   EXPECT_EQ(fs.fakes[0]->plan_calls, 1);
-  EXPECT_EQ(fs.fakes[1]->plan_calls, 1);
+  EXPECT_EQ(fs.fakes[1]->plan_calls, 0);
 
   auto out = fs.set->Validate(ValidateReq(plan->token));
   ASSERT_TRUE(out.ok()) << out.status();
@@ -263,6 +258,7 @@ TEST(ShardReplicaSetTest, ValidateFailsOverAndQuarantinesDeadReplica) {
   fs.fakes[0]->fail_validate = true;
   auto out = fs.set->Validate(ValidateReq(plan->token));
   ASSERT_TRUE(out.ok()) << out.status();  // transparently served by replica 1
+  EXPECT_EQ(fs.fakes[1]->plan_calls, 1);  // which re-planned first
   EXPECT_EQ(fs.fakes[0]->validate_calls, 1);
   EXPECT_EQ(fs.fakes[1]->validate_calls, 1);
   EXPECT_EQ(fs.fakes[0]->quarantine_calls, 1);  // breaker tripped open
@@ -306,15 +302,20 @@ TEST(ShardReplicaSetTest, DivergentReplicaPlanIsDroppedFromLease) {
   fs.fakes[1]->plan_skew = 1e-12;  // one ulp of disagreement is enough
   auto plan = fs.set->Plan(ShardPlanRequest{});
   ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(fs.set->health().divergent_plans, 1u);
-  // The divergent replica's session was released immediately...
-  EXPECT_EQ(fs.fakes[1]->live_sessions, 0);
-  // ...and it holds no lease: with the primary dead, validate has
-  // nowhere to go even though replica 1 is "alive".
+  EXPECT_EQ(fs.set->health().divergent_plans, 0u);  // replica 1 not asked yet
+
+  // The primary dies, so the validate fails over to replica 1, whose
+  // re-plan differs from the first plan. Validating against it would
+  // break parity, so the attempt fails instead.
   fs.fakes[0]->fail_validate = true;
   EXPECT_FALSE(fs.set->Validate(ValidateReq(plan->token)).ok());
+  EXPECT_EQ(fs.fakes[1]->plan_calls, 1);
+  EXPECT_EQ(fs.set->health().divergent_plans, 1u);
+  EXPECT_EQ(fs.fakes[1]->live_sessions, 0);  // released at once
   EXPECT_EQ(fs.fakes[1]->validate_calls, 0);
+  EXPECT_EQ(fs.set->health().failed_rpcs, 2u);  // both fed their breakers
   fs.set->Release(plan->token);
+  EXPECT_EQ(fs.fakes[0]->live_sessions, 0);
 }
 
 TEST(ShardReplicaSetTest, DeadPrimaryAtPlanTimeIsInvisible) {
@@ -349,52 +350,6 @@ TEST(ShardReplicaSetTest, RetryBudgetStopsFailoverStorm) {
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(fs.fakes[1]->validate_calls, 1);
   EXPECT_GE(fs.set->health().budget_denied, 1u);
-  fs.set->Release(plan->token);
-}
-
-TEST(ShardReplicaSetTest, HedgedValidateWinsOnSlowPrimary) {
-  ReplicaSetOptions opts;
-  opts.hedge_after_ms = 5.0;
-  FakeSet fs = MakeFakeSet(2, opts);
-  fs.fakes[0]->validate_delay_ms = 250.0;
-  auto plan = fs.set->Plan(ShardPlanRequest{});
-  ASSERT_TRUE(plan.ok());
-
-  const auto started = std::chrono::steady_clock::now();
-  auto out = fs.set->Validate(ValidateReq(plan->token));
-  const double took_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - started)
-                             .count();
-  ASSERT_TRUE(out.ok()) << out.status();
-  ASSERT_EQ(out->size(), 3u);
-  EXPECT_EQ((*out)[0].value, 0.0);
-  // The hedge answered long before the 250 ms primary could.
-  EXPECT_LT(took_ms, 200.0);
-  const ChannelHealth h = fs.set->health();
-  EXPECT_EQ(h.hedges_launched, 1u);
-  EXPECT_EQ(h.hedges_won, 1u);
-  fs.set->Release(plan->token);
-  // Destruction waits out the slow loser — ASan would flag it otherwise.
-}
-
-TEST(ShardReplicaSetTest, HedgeFaultPointDegradesToWaitingOnPrimary) {
-  FaultGuard guard;
-  fault_injection::Enable(11);
-  fault_injection::ArmCount("shard.rpc.hedge", 1);
-
-  ReplicaSetOptions opts;
-  opts.hedge_after_ms = 1.0;
-  FakeSet fs = MakeFakeSet(2, opts);
-  fs.fakes[0]->validate_delay_ms = 30.0;
-  auto plan = fs.set->Plan(ShardPlanRequest{});
-  ASSERT_TRUE(plan.ok());
-
-  auto out = fs.set->Validate(ValidateReq(plan->token));
-  ASSERT_TRUE(out.ok()) << out.status();
-  const ChannelHealth h = fs.set->health();
-  EXPECT_EQ(h.hedges_launched, 1u);  // launched, then injected to fail
-  EXPECT_EQ(h.hedges_won, 0u);       // so the slow primary won after all
-  EXPECT_EQ(fs.fakes[1]->validate_calls, 0);
   fs.set->Release(plan->token);
 }
 
@@ -631,6 +586,104 @@ TEST(ReplicatedEngineTest, MidRunReplicaLossPreservesBitwiseParity) {
   EXPECT_NE(json.find("\"shard_tier\""), std::string::npos);
   EXPECT_NE(json.find("\"failovers\""), std::string::npos);
   EXPECT_NE(json.find("\"breakers\""), std::string::npos);
+}
+
+// Counts Plan calls into a caller-owned counter; forwards everything.
+class PlanCountingChannel final : public ShardChannel {
+ public:
+  PlanCountingChannel(std::unique_ptr<ShardChannel> inner,
+                      std::atomic<int>* plans)
+      : inner_(std::move(inner)), plans_(plans) {}
+
+  Result<ShardPlanResult> Plan(const ShardPlanRequest& request) override {
+    plans_->fetch_add(1);
+    return inner_->Plan(request);
+  }
+  Result<std::vector<NodeOutcome>> Validate(
+      const ShardValidateRequest& request) override {
+    return inner_->Validate(request);
+  }
+  Status Release(uint64_t token) override { return inner_->Release(token); }
+  Result<QueryResponse> SubQuery(const QueryRequest& request) override {
+    return inner_->SubQuery(request);
+  }
+
+ private:
+  std::unique_ptr<ShardChannel> inner_;
+  std::atomic<int>* plans_;
+};
+
+// One plan per shard per query, on the replica that serves it. Healthy,
+// replica 1 never plans. With replica 0 dying mid-run, a shard plans a
+// second time only in the query whose validate fails over, on replica 1;
+// once replica 0 is quarantined, replica 1 serves and plans alone. The
+// answers stay bitwise-equal to the flat engine throughout.
+TEST(ReplicatedEngineTest, EachShardPlansOncePerQuery) {
+  const auto& ds = MiniDataset();
+  const auto workload = ParityWorkload();
+  const auto& expected = FlatReference();
+  for (const bool primary_dies : {false, true}) {
+    SCOPED_TRACE(primary_dies ? "replica 0 dies mid-run" : "healthy");
+    std::atomic<int> plans[2][2] = {};
+    ShardedEngineOptions opts;
+    opts.num_shards = 2;
+    opts.replicas_per_shard = 2;
+    opts.base_seed = kBaseSeed;
+    opts.replica.breaker.failure_threshold = 1;
+    opts.replica.breaker.open_cooldown_ms = 60000.0;  // no failback
+    opts.wrap_channel = [&](std::unique_ptr<ShardChannel> ch, uint32_t shard,
+                            uint32_t replica) -> std::unique_ptr<ShardChannel> {
+      if (primary_dies && replica == 0) {
+        ch = std::make_unique<DieAfterValidatesChannel>(std::move(ch),
+                                                        /*fail_from=*/2);
+      }
+      return std::make_unique<PlanCountingChannel>(std::move(ch),
+                                                   &plans[shard][replica]);
+    };
+    auto engine =
+        ShardedEngine::Create(ds.graph(), ds.reference_embedding(), opts);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+
+    uint64_t queries_failing_over = 0;
+    for (size_t i = 0; i < workload.size(); ++i) {
+      int before[2][2];
+      for (size_t s = 0; s < 2; ++s) {
+        for (size_t r = 0; r < 2; ++r) before[s][r] = plans[s][r].load();
+      }
+      const auto health_before = (*engine)->coordinator().channel_health();
+      QueryRequest req;
+      req.query = workload[i];
+      QueryResponse resp = (*engine)->Execute(req);
+      ASSERT_EQ(resp.state, QueryState::kDone)
+          << "query " << i << ": " << resp.status;
+      EXPECT_FALSE(resp.degraded) << "query " << i;
+      ExpectResultsBitwiseEqual(resp.result, expected[i], i);
+
+      const auto health = (*engine)->coordinator().channel_health();
+      for (size_t s = 0; s < 2; ++s) {
+        const int on_primary = plans[s][0].load() - before[s][0];
+        const int on_spare = plans[s][1].load() - before[s][1];
+        const bool failed_over =
+            health[s].failovers > health_before[s].failovers;
+        queries_failing_over += failed_over;
+        EXPECT_EQ(on_primary + on_spare, failed_over ? 2 : 1)
+            << "query " << i << ", shard " << s;
+        if (failed_over) {
+          EXPECT_EQ(on_spare, 1) << "query " << i;
+        }
+        if (!primary_dies) {
+          EXPECT_EQ(on_spare, 0) << "query " << i;
+        }
+      }
+    }
+    EXPECT_EQ(queries_failing_over > 0, primary_dies);
+    for (size_t s = 0; s < 2; ++s) {
+      for (size_t r = 0; r < 2; ++r) {
+        EXPECT_EQ((*engine)->node(s, r).live_plan_sessions(), 0u)
+            << "shard " << s << " replica " << r;
+      }
+    }
+  }
 }
 
 // Losing EVERY replica of a shard mid-run is a real shard loss: the

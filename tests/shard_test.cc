@@ -4,12 +4,15 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/random.h"
 #include "common/shard_hash.h"
 #include "core/engine_context.h"
 #include "datagen/kg_generator.h"
@@ -370,10 +373,11 @@ TEST(ShardedEngineTest, ConcurrentCallersMatchUnshardedBitwise) {
   EXPECT_EQ(repeats.load(), 0) << "validate requests with a repeated index";
 }
 
-// Validates of one plan token can overlap — a hedge loser may still be
-// running when its query's next round reaches the same session. The
-// session's validation caches are not thread-safe, so the node runs them
-// one at a time, and every caller gets the same outcomes.
+// Validates of one plan token can overlap — a validate that timed out on
+// the client may still be running when its query's next round reaches
+// the same session. The session's validation caches are not thread-safe,
+// so the node runs them one at a time, and every caller gets the same
+// outcomes.
 TEST(ShardNodeTest, OverlappingValidatesOfOneTokenAgree) {
   ManualShards shards = BuildManualShards(2);
   ShardNode& node = *shards.nodes[0];
@@ -841,6 +845,147 @@ TEST(ShardWireTest, QueryRequestAndResponseRoundTrip) {
   Status rerr = DecodeError(EncodeError(err));
   EXPECT_EQ(rerr.code(), err.code());
   EXPECT_EQ(rerr.message(), err.message());
+}
+
+// Decodes one (possibly mutated) body. A decoder either rejects it with
+// kInvalidArgument or accepts it, and an accepted value must survive a
+// re-encode: its canonical body decodes again and re-encodes to itself.
+// Returns whether the body decoded.
+template <typename Decode, typename Encode>
+bool DecodesOrRejectsCleanly(const std::string& body, Decode decode,
+                             Encode encode) {
+  auto decoded = decode(body);
+  if (!decoded.ok()) {
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << decoded.status() << "\n  body: " << body;
+    return false;
+  }
+  const std::string canonical = encode(*decoded);
+  auto again = decode(canonical);
+  EXPECT_TRUE(again.ok()) << again.status() << "\n  body: " << canonical;
+  if (again.ok()) {
+    EXPECT_EQ(encode(*again), canonical) << "body: " << body;
+  }
+  return true;
+}
+
+// Shard wire bodies arrive from the network, so a seeded sweep of
+// deletions, insertions, replacements and truncations over every
+// encoder's output must never crash a decoder (the sanitize job runs
+// this under ASan/UBSan) and must keep each decoder's contract.
+TEST(ShardWireTest, MutatedBodiesNeverCrash) {
+  ShardPlanRequest plan_request;
+  plan_request.query = MixedWorkload()[3];
+  plan_request.options.seed = 0xABCDEF01ULL;
+  ShardPlanResult plan_result;
+  plan_result.token = 77;
+  plan_result.num_candidates = 4096;
+  plan_result.group_by_enabled = true;
+  plan_result.indices = {0, 7, 4095};
+  plan_result.nodes = {3, 1, 1592653};
+  plan_result.probs = {0.1, 1.0 / 3.0, 1e-300};
+  ShardValidateRequest validate_request;
+  validate_request.token = 42;
+  validate_request.indices = {5, 5, 0, 99999};
+  const std::vector<NodeOutcome> outcomes = {
+      {true, 0.1, -7}, {false, 0.0, 0}, {true, 1e308, 123456789}};
+  QueryRequest query_request;
+  query_request.query = MixedWorkload()[2];
+  query_request.error_bound = 0.005;
+  query_request.seed = 17;
+  query_request.max_rounds = 9;
+  query_request.deadline_ms = 123.456;
+  QueryResponse query_response;
+  query_response.id = 9;
+  query_response.state = QueryState::kDone;
+  query_response.status = Status::Unavailable("partial");
+  query_response.result.v_hat = 1.0 / 7.0;
+  query_response.result.moe = 0.00123;
+  query_response.result.rounds = 4;
+  query_response.result.groups.push_back({10.0, 2.5, 0.25, 12, true});
+
+  using Check = std::function<bool(const std::string&)>;
+  const auto plan_result_check = [](const std::string& body) {
+    auto decoded = DecodePlanResult(body);
+    if (decoded.ok()) {
+      EXPECT_EQ(decoded->nodes.size(), decoded->indices.size()) << body;
+      EXPECT_EQ(decoded->probs.size(), decoded->indices.size()) << body;
+    }
+    return DecodesOrRejectsCleanly(body, DecodePlanResult, EncodePlanResult);
+  };
+  const std::vector<std::pair<std::string, Check>> codecs = {
+      {EncodePlanRequest(plan_request),
+       [](const std::string& b) {
+         return DecodesOrRejectsCleanly(b, DecodePlanRequest,
+                                        EncodePlanRequest);
+       }},
+      {EncodePlanResult(plan_result), plan_result_check},
+      {EncodeValidateRequest(validate_request),
+       [](const std::string& b) {
+         return DecodesOrRejectsCleanly(b, DecodeValidateRequest,
+                                        EncodeValidateRequest);
+       }},
+      {EncodeOutcomes(outcomes),
+       [](const std::string& b) {
+         return DecodesOrRejectsCleanly(
+             b, DecodeOutcomes, [](const std::vector<NodeOutcome>& o) {
+               return EncodeOutcomes(o);
+             });
+       }},
+      {EncodeQueryRequest(query_request),
+       [](const std::string& b) {
+         return DecodesOrRejectsCleanly(b, DecodeQueryRequest,
+                                        EncodeQueryRequest);
+       }},
+      {EncodeQueryResponse(query_response),
+       [](const std::string& b) {
+         return DecodesOrRejectsCleanly(b, DecodeQueryResponse,
+                                        EncodeQueryResponse);
+       }},
+      {EncodeError(Status::Unavailable("shard 3 went away")),
+       [](const std::string& b) {
+         EXPECT_FALSE(DecodeError(b).ok()) << b;  // an error body never
+         return false;                            // decodes to success
+       }},
+  };
+
+  Rng rng(20261018);
+  const char alphabet[] = "0123456789=\n .-+eExcoignatfkr";
+  for (size_t k = 0; k < codecs.size(); ++k) {
+    const auto& [original, check] = codecs[k];
+    ASSERT_EQ(check(original), k + 1 != codecs.size()) << original;
+    size_t accepted = 0;
+    constexpr size_t kIterations = 3000;
+    for (size_t iter = 0; iter < kIterations; ++iter) {
+      std::string s = original;
+      const size_t edits = 1 + rng.NextBounded(4);
+      for (size_t e = 0; e < edits && !s.empty(); ++e) {
+        const size_t pos = rng.NextBounded(s.size());
+        const char c = alphabet[rng.NextBounded(sizeof(alphabet) - 1)];
+        switch (rng.NextBounded(4)) {
+          case 0:
+            s.erase(pos, 1 + rng.NextBounded(3));
+            break;
+          case 1:
+            s.insert(pos, 1, c);
+            break;
+          case 2:
+            s[pos] = c;
+            break;
+          case 3:
+            s.resize(pos);
+            break;
+        }
+      }
+      accepted += check(s);
+    }
+    // Both outcomes must occur for the sweep to mean anything (the error
+    // envelope has no accepting outcome).
+    if (k + 1 != codecs.size()) {
+      EXPECT_GT(accepted, 0u) << "codec " << k;
+      EXPECT_LT(accepted, kIterations) << "codec " << k;
+    }
+  }
 }
 
 // Stops a REAL loopback server at the `kill_at`-th validate call
