@@ -515,7 +515,7 @@ double Percentile(std::vector<double>& samples, double p) {
   return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
-// Async scheduler: per-query latency is submission -> terminal as seen by
+// Async service: per-query latency is submission -> terminal as seen by
 // the ticket (includes queue wait), aggregated to p50/p95/p99 across
 // every query of every iteration.
 void BM_ServeAsyncLatency(benchmark::State& state) {

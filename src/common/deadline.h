@@ -9,8 +9,8 @@ namespace kgaq {
 /// A point on the monotonic clock by which some work must finish.
 ///
 /// Built once (typically at request submission) and then polled cheaply
-/// from cooperative cancellation points: the serving scheduler checks a
-/// query's deadline between Algorithm-2 rounds, so an expired query
+/// from cooperative cancellation points: a served query's round task
+/// checks its deadline between Algorithm-2 rounds, so an expired query
 /// retires at the next round boundary instead of being torn down
 /// mid-draw. Uses steady_clock throughout — wall-clock adjustments
 /// (NTP, DST) can never extend or shorten a query's budget.

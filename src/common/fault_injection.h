@@ -38,9 +38,10 @@ namespace fault_injection {
 /// drivers, which should Enable once up front).
 ///
 /// Points are string-keyed and need no registration. Current sites:
-/// serving (`serve.admit.queue_full`, `serve.round.slow`,
-/// `serve.scheduler.stall`, `serve.loop.wakeup` — an event-loop wakeup
-/// is dropped undrained; level-triggered pollers re-deliver it next
+/// serving (`serve.admit.queue_full`; `serve.round.slow` and
+/// `serve.scheduler.stall` — a query's round sleeps 1 ms or 10 ms
+/// before it steps; `serve.loop.wakeup` — an event-loop wakeup is
+/// dropped undrained; level-triggered pollers re-deliver it next loop
 /// tick), HTTP (`http.conn.read_error`,
 /// `http.client.connect_error`, `http.client.recv_error`), snapshot
 /// loading (`snapshot.read.short`),

@@ -61,7 +61,7 @@ Result<std::unique_ptr<QuerySession>> ApproxEngine::CreateSession(
   // Serial pieces of a branch build (hop similarity rows, chain-profile
   // store admission) throw on failure — e.g. an injected cache fault —
   // rather than returning Status; convert here so a failed build retires
-  // the ticket as kFailed instead of unwinding through the scheduler.
+  // the ticket as kFailed instead of unwinding through its round task.
   try {
     for (const QueryBranch& branch : query.query.branches) {
       auto bs = BranchSampler::Build(*ctx_, branch, options_.branch,

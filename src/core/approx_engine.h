@@ -230,8 +230,8 @@ class ApproxEngine {
 /// Two equivalent driving modes:
 ///  * RunToErrorBound(eb): run rounds to completion (the classic API);
 ///  * BeginRun(eb) / StepRound() / FinishRun(): one draw-validate-estimate
-///    round per StepRound call, so a scheduler (serve/QueryService) can
-///    interleave many sessions' rounds over the shared pool. Both modes
+///    round per StepRound call, so a server (serve/QueryService) can run
+///    each session's rounds as tasks on the shared pool. Both modes
 ///    execute the identical sequence of draws and estimator calls, so for
 ///    a fixed seed they produce bitwise-identical results.
 class QuerySession {
@@ -272,14 +272,14 @@ class QuerySession {
   /// layer can report a *degraded completion* rather than a cancellation.
   /// Lowest priority of the three stop signals: a concurrent cancel or
   /// expired deadline wins attribution. Safe to call from any thread
-  /// between rounds (the serve scheduler calls it at tick boundaries).
+  /// between rounds (QueryService calls it at round boundaries).
   void RequestShed() { shed_requested_.store(true, std::memory_order_release); }
 
   /// Why the most recent run stopped (kNone when it ran to completion).
   StopCause stop_cause() const { return stop_cause_; }
 
-  /// Rounds completed across the session's lifetime (all runs). The
-  /// scheduler uses this to guarantee "never shed a query that has not
+  /// Rounds completed across the session's lifetime (all runs).
+  /// QueryService uses this to guarantee "never shed a query that has not
   /// yet produced a single-round estimate".
   size_t rounds_completed() const { return rounds_total_; }
 

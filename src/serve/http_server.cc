@@ -560,8 +560,8 @@ bool ParseResponseHead(const std::string& head, ParsedResponseHead& out) {
 /// posts fresh sockets, QueryTicket::OnTerminal callbacks post finished
 /// long-poll responses, and both ring the wakeup fd so the poller
 /// returns. The mailbox is a shared_ptr because a completion callback
-/// can outlive the loop (scheduler retires a query after server Stop) —
-/// it then finds `open == false` and drops the completion.
+/// can outlive the loop (a round task retires a query after server
+/// Stop) — it then finds `open == false` and drops the completion.
 class HttpServer::EventLoop {
  public:
   explicit EventLoop(HttpServer& server)
@@ -867,7 +867,7 @@ class HttpServer::EventLoop {
       // Defer: every submission parsed within this drain cycle joins
       // one admission wave (QueryService::SubmitBatch) in
       // DispatchBatch, so a thousand connections submitting at once
-      // cost one scheduler wakeup.
+      // cost one service lock acquisition.
       PendingSubmit ps;
       ps.fd = c.fd;
       ps.gen = c.gen;
@@ -900,7 +900,7 @@ class HttpServer::EventLoop {
   }
 
   /// Defers this request's response until the query retires (pushed by
-  /// the scheduler through the mailbox) or the wait expires.
+  /// its round task through the mailbox) or the wait expires.
   void BeginWait(Conn& c, QueryTicket& ticket, double wait_ms,
                  bool keep_alive) {
     c.waiting = true;
@@ -915,9 +915,9 @@ class HttpServer::EventLoop {
     const uint64_t epoch = c.wait_epoch;
     ticket.OnTerminal(
         [mb, fd, gen, epoch, keep_alive](const QueryResponse& resp) {
-          // Runs on the scheduler thread (or inline when the ticket went
-          // terminal while BeginWait set up): render here so the loop
-          // only splices bytes.
+          // Runs on the pool worker that retires the query (or inline
+          // when the ticket went terminal while BeginWait set up): render
+          // here so the loop only splices bytes.
           std::string body;
           AppendTicketJson(body, resp);
           Completion comp;
@@ -1278,13 +1278,22 @@ HttpServer::PreparedSubmit HttpServer::PrepareSubmit(
   }
   prep.request.query = std::move(*query);
   for (const auto& [key, value] : ParseQueryParams(query_string)) {
+    // The engine needs a finite eb > 0 (Eq. 12 divides by it) and a
+    // finite conf strictly inside (0, 1) (the normal quantile is
+    // infinite at both ends).
     if (key == "eb") {
       auto v = ParseDoubleValue(value);
       if (!v.has_value()) return fail("unparseable eb value");
+      if (!std::isfinite(*v) || *v <= 0.0) {
+        return fail("eb must be finite and > 0");
+      }
       prep.request.error_bound = *v;
     } else if (key == "conf") {
       auto v = ParseDoubleValue(value);
       if (!v.has_value()) return fail("unparseable conf value");
+      if (!std::isfinite(*v) || *v <= 0.0 || *v >= 1.0) {
+        return fail("conf must be finite and strictly between 0 and 1");
+      }
       prep.request.confidence_level = *v;
     } else if (key == "seed") {
       auto v = ParseUint64Value(value);
@@ -1328,9 +1337,12 @@ std::string HttpServer::FinishSubmit(const PreparedSubmit& prep,
     }
   }
   RegisterTicket(ticket);
+  // The echo reports the submission, and every accepted ticket is born
+  // QUEUED. Its round task may already have moved it on by now;
+  // /result/<id> serves the live state.
   std::string out = "{\"id\":" + std::to_string(ticket.id());
   out += ",\"state\":\"";
-  out += QueryStateToString(ticket.Poll().state);
+  out += QueryStateToString(QueryState::kQueued);
   out += "\",\"query\":";
   AppendJsonString(out, prep.canonical);
   out += "}\n";

@@ -102,7 +102,7 @@ struct HttpServerOptions {
 /// All POST /query submissions that complete parsing within one loop
 /// drain cycle are submitted to the QueryService as ONE admission wave
 /// (QueryService::SubmitBatch), so a thousand connections submitting at
-/// once cost one scheduler wakeup, not a thousand.
+/// once cost one service lock acquisition, not a thousand.
 ///
 /// Overload: when the service rejects a submit (bounded queue full or
 /// Shedding), POST /query answers 429 Too Many Requests — 503 while
@@ -111,9 +111,9 @@ struct HttpServerOptions {
 /// converge instead of hammering a saturated replica.
 ///
 /// The server owns the acceptor and event-loop threads only; queries run
-/// on the service's scheduler, and no route blocks a loop thread, so a
-/// slow query never stalls the front-end. The service must outlive the
-/// server.
+/// as the service's round tasks on GlobalPool(), and no route blocks a
+/// loop thread, so a slow query never stalls the front-end. The service
+/// must outlive the server.
 class HttpServer {
  public:
   explicit HttpServer(QueryService& service, HttpServerOptions options = {});

@@ -15,22 +15,33 @@ namespace kgaq {
 
 namespace serve_internal {
 
-/// Shared state behind one QueryTicket: written by the scheduler, read by
-/// any number of ticket copies. `cancel` is the flag QuerySession polls
-/// between rounds (SetStopControl), so Cancel() needs no lock to reach a
-/// running query; everything else is guarded by `mu`.
+/// Shared state behind one QueryTicket: written by the service and the
+/// query's round tasks, read by any number of ticket copies. `cancel` is
+/// the flag QuerySession polls between rounds (SetStopControl), so
+/// Cancel() needs no lock to reach a running query; the ticket's
+/// lifecycle fields are guarded by `mu`.
 struct TicketState {
   using Clock = std::chrono::steady_clock;
 
-  // Immutable after SubmitAsync publishes the ticket.
+  // Immutable after SubmitBatch publishes the ticket.
   uint64_t id = 0;
   uint64_t seed_used = 0;
   Deadline deadline;
   Clock::time_point submit_time;
 
   std::atomic<bool> cancel{false};
-  /// Consumed by the scheduler at admission.
+  /// Read by the first round task, which builds the session from it.
   QueryRequest request;
+
+  /// Set at admission, then owned by the round tasks: one runs at a time
+  /// and each is posted by the one before it, so they need no lock.
+  Clock::time_point admit_time;
+  std::unique_ptr<QuerySession> session;
+  /// Round watchdog, guarded by the service's mu_: when the round in
+  /// progress started (nullopt between rounds) and whether it has been
+  /// counted as a stall.
+  std::optional<Clock::time_point> round_start;
+  bool round_warned = false;
 
   mutable std::mutex mu;
   std::condition_variable cv;
@@ -62,6 +73,14 @@ struct TicketState {
 }  // namespace serve_internal
 
 using serve_internal::TicketState;
+
+namespace {
+
+double Millis(TicketState::Clock::duration d) {
+  return std::chrono::duration<double, std::milli>(d).count();
+}
+
+}  // namespace
 
 const char* QueryStateToString(QueryState s) {
   switch (s) {
@@ -151,20 +170,26 @@ QueryService::QueryService(std::shared_ptr<const EngineContext> context,
     : ctx_(std::move(context)), options_(options) {}
 
 QueryService::~QueryService() {
-  std::thread to_join;
+  std::vector<TicketPtr> queued;
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
-    // Queued work is cancelled outright; the scheduler sets the cancel
-    // flag on admitted sessions and drains them at their next round
-    // boundary, so this join is bounded by one round per active query.
+    // Every ticket is cancelled: queued ones retire here, running ones at
+    // their next round boundary, so the wait below is bounded by one
+    // round per running query.
     for (const TicketPtr& t : queue_) {
       t->cancel.store(true, std::memory_order_release);
     }
-    to_join = std::move(scheduler_);
+    for (const TicketPtr& t : running_) {
+      t->cancel.store(true, std::memory_order_release);
+    }
+    SweepQueueLocked(queued);
   }
-  wake_.notify_all();
-  if (to_join.joinable()) to_join.join();
+  for (const TicketPtr& t : queued) RetireUnrun(t);
+  // A round task's last touch of the service is its ticket's retirement,
+  // under mu_ (see Retire), so once no ticket is outstanding no task
+  // refers to the service.
+  Drain();
 }
 
 uint64_t QueryService::QuerySeed(uint64_t base_seed, size_t index) {
@@ -189,11 +214,10 @@ std::vector<QueryTicket> QueryService::SubmitBatch(
     std::vector<QueryRequest> requests) {
   std::vector<QueryTicket> out;
   out.reserve(requests.size());
-  bool notify = false;
+  std::vector<TicketPtr> dead;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto now = TicketState::Clock::now();
-    bool any_queued = false;
     for (QueryRequest& request : requests) {
       auto state = std::make_shared<TicketState>();
       state->submit_time = now;
@@ -207,11 +231,12 @@ std::vector<QueryTicket> QueryService::SubmitBatch(
               : QuerySeed(options_.base_seed, static_cast<size_t>(state->id));
       state->request = std::move(request);
       ++stats_.submitted;
-      // Re-evaluate overload BEFORE the admission decision so a queue the
-      // scheduler has already drained lets us exit Shedding on this very
-      // submit instead of rejecting against stale state. Evaluated per
-      // request, in order, so a batch makes exactly the same admission
-      // decisions as the equivalent sequence of SubmitAsync calls.
+      // Re-evaluate overload BEFORE the admission decision: a fresh
+      // service starts Healthy whatever its thresholds say about an empty
+      // queue. Evaluated per request, in order, with each request
+      // admitted before the next is judged, so a batch makes exactly the
+      // same admission decisions as the equivalent sequence of
+      // SubmitAsync calls.
       UpdateOverloadLocked();
       Status reject;
       if (shutdown_) {
@@ -238,25 +263,12 @@ std::vector<QueryTicket> QueryService::SubmitBatch(
       }
       queue_.push_back(state);
       ++outstanding_;
-      any_queued = true;
-      UpdateOverloadLocked();  // this push may cross an enter threshold
+      AdmitLocked();  // a free slot takes the ticket at once
       out.push_back(QueryTicket(std::move(state)));
     }
-    if (any_queued) {
-      if (!scheduler_.joinable()) {
-        scheduler_ = std::thread([this] { SchedulerLoop(); });
-      }
-      // Wakeup coalescing: only signal when the scheduler is actually
-      // parked. A scheduler mid-tick re-reads the queue before blocking,
-      // so skipping the notify is safe — and a whole admission wave
-      // costs at most one futex wake instead of one per request.
-      if (scheduler_waiting_) {
-        notify = true;
-        ++stats_.scheduler_wakeups;
-      }
-    }
+    SweepQueueLocked(dead);
   }
-  if (notify) wake_.notify_all();
+  for (const TicketPtr& t : dead) RetireUnrun(t);
   return out;
 }
 
@@ -274,24 +286,13 @@ QueryService::ServiceStats QueryService::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ServiceStats out = stats_;
   out.queued = queue_.size();
-  out.running = running_;
+  out.running = running_.size();
   out.overload = overload_;
   out.retry_after_ms = RetryAfterMsLocked();
-  if (tick_in_progress_) {
-    out.last_tick_age_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - tick_start_)
-                               .count();
-    // A probe may observe a stall while the tick is still running; count
-    // it here (once — the scheduler skips it when closing the tick).
-    if (options_.watchdog_warn_ms > 0.0 &&
-        out.last_tick_age_ms > options_.watchdog_warn_ms && !tick_warned_) {
-      tick_warned_ = true;
-      ++watchdog_stalls_;
-      std::fprintf(stderr,
-                   "[kgaq.serve] watchdog: scheduler tick running for "
-                   "%.1f ms (threshold %.1f ms)\n",
-                   out.last_tick_age_ms, options_.watchdog_warn_ms);
-    }
+  // A probe may be the first to see a stalled round, and counts it.
+  for (const TicketPtr& t : running_) {
+    out.last_tick_age_ms =
+        std::max(out.last_tick_age_ms, WatchRoundLocked(*t));
   }
   out.watchdog_stalls = watchdog_stalls_;
   out.memory_pressure = ctx_->memory_pressure();
@@ -337,21 +338,20 @@ void QueryService::UpdateOverloadLocked() {
   }
 }
 
-void QueryService::NoteTickEndLocked() {
-  if (!tick_in_progress_) return;
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - tick_start_)
-                        .count();
-  if (options_.watchdog_warn_ms > 0.0 && ms > options_.watchdog_warn_ms &&
-      !tick_warned_) {
+double QueryService::WatchRoundLocked(TicketState& t) const {
+  if (!t.round_start.has_value()) return 0.0;
+  const double age = Millis(TicketState::Clock::now() - *t.round_start);
+  if (options_.watchdog_warn_ms > 0.0 && age > options_.watchdog_warn_ms &&
+      !t.round_warned) {
+    t.round_warned = true;
     ++watchdog_stalls_;
     std::fprintf(stderr,
-                 "[kgaq.serve] watchdog: scheduler tick took %.1f ms "
-                 "(threshold %.1f ms)\n",
-                 ms, options_.watchdog_warn_ms);
+                 "[kgaq.serve] watchdog: query %llu round running for "
+                 "%.1f ms (threshold %.1f ms)\n",
+                 static_cast<unsigned long long>(t.id), age,
+                 options_.watchdog_warn_ms);
   }
-  tick_in_progress_ = false;
-  tick_warned_ = false;
+  return age;
 }
 
 double QueryService::RetryAfterMsLocked() const {
@@ -366,6 +366,165 @@ double QueryService::RetryAfterMsLocked() const {
   return std::clamp(estimate, 1.0, 60000.0);
 }
 
+void QueryService::AdmitLocked() {
+  const size_t width = std::max<size_t>(1, options_.max_concurrent);
+  while (running_.size() < width && !queue_.empty()) {
+    TicketPtr t = std::move(queue_.front());
+    queue_.pop_front();
+    // Admission is stamped before the session builds: queue_ms is pure
+    // queue wait, and a query's own setup cost (candidate enumeration,
+    // cold walk-core builds) bills to its run_ms.
+    t->admit_time = TicketState::Clock::now();
+    running_.push_back(t);
+    ++stats_.scheduler_wakeups;
+    GlobalPool().Submit([this, t] { RunRound(t); });
+  }
+  UpdateOverloadLocked();
+}
+
+void QueryService::SweepQueueLocked(std::vector<TicketPtr>& dead) {
+  const auto now = TicketState::Clock::now();
+  for (auto it = queue_.begin(); it != queue_.end();) {
+    const TicketState& q = **it;
+    if (q.cancel.load(std::memory_order_acquire) || q.deadline.expired() ||
+        (options_.max_queue_wait_ms > 0.0 &&
+         Millis(now - q.submit_time) > options_.max_queue_wait_ms)) {
+      dead.push_back(std::move(*it));
+      it = queue_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  UpdateOverloadLocked();
+}
+
+void QueryService::RunRound(const TicketPtr& t) {
+  std::vector<TicketPtr> dead;
+  bool shedding = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    t->round_start = TicketState::Clock::now();
+    t->round_warned = false;
+    shedding = overload_ == OverloadState::kShedding;
+    // While every slot is busy, round boundaries are where queued
+    // tickets are seen to die waiting.
+    SweepQueueLocked(dead);
+  }
+  for (const TicketPtr& d : dead) RetireUnrun(d);
+
+  // Fault points: park this round so ~QueryService or a stats() probe
+  // runs in the middle of it, or slow it slightly.
+  if (KGAQ_FAULT_POINT("serve.scheduler.stall")) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (KGAQ_FAULT_POINT("serve.round.slow")) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  if (t->session == nullptr) {
+    // A ticket cancelled or expired before its first round retires
+    // without building a session (its seed was fixed at submission, so
+    // skipping it shifts no other query's stream).
+    if (t->cancel.load(std::memory_order_acquire) || t->deadline.expired()) {
+      RetireUnrun(t);
+      return;
+    }
+    const EngineOptions opts =
+        EffectiveEngineOptions(options_.engine, t->request, t->seed_used);
+    auto session = ApproxEngine(ctx_, opts).CreateSession(t->request.query);
+    if (!session.ok()) {
+      Retire(t, QueryState::kFailed, session.status(), AggregateResult{});
+      return;
+    }
+    t->session = std::move(*session);
+    t->session->SetStopControl(&t->cancel, t->deadline);
+    t->session->BeginRun(opts.error_bound);
+    std::lock_guard<std::mutex> lock(t->mu);
+    t->state = QueryState::kRunning;
+    t->queue_ms = Millis(t->admit_time - t->submit_time);
+  }
+
+  // Under Shedding, a session that already holds at least one completed
+  // round retires with its partial estimate at this round boundary; a
+  // zero-round session finishes a first round so no admitted query ever
+  // returns without an answer.
+  if (shedding && t->session->rounds_completed() >= 1) {
+    t->session->RequestShed();
+  }
+  // Sessions are fully independent (own Rng, own sample) and context
+  // caches are synchronized memo tables over pure functions, so running
+  // rounds concurrently changes wall-clock only — per-query results stay
+  // bitwise-identical to solo runs with the same seed. StepRound itself
+  // re-checks the cancel flag and deadline before drawing.
+  if (t->session->StepRound()) {
+    Finish(t);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  WatchRoundLocked(*t);
+  t->round_start.reset();
+  ++stats_.scheduler_wakeups;
+  GlobalPool().Submit([this, t] { RunRound(t); });
+}
+
+void QueryService::Finish(const TicketPtr& t) {
+  QuerySession& session = *t->session;
+  AggregateResult result = session.FinishRun();
+  QueryState state = QueryState::kDone;
+  bool degraded = false;
+  switch (session.stop_cause()) {
+    case StopCause::kCancelled:
+      state = QueryState::kCancelled;
+      break;
+    case StopCause::kDeadlineExceeded:
+      state = QueryState::kDeadlineExceeded;
+      // A deadline that fired mid-run still hands back everything the
+      // rounds so far earned; only 0-round expiries return empty.
+      degraded = result.rounds >= 1;
+      break;
+    case StopCause::kShed:
+      // Shed sessions complete with a partial answer: state kDone,
+      // degraded flag set, error_bound rewritten to the achieved bound
+      // in Retire.
+      degraded = true;
+      break;
+    case StopCause::kShardLost:
+      // Only federated coordinator sessions can lose a shard; a
+      // QueryService session never installs a RemoteEvaluator. Treated
+      // like shed if it ever fired: partial answer, degraded.
+      degraded = result.rounds >= 1;
+      if (result.rounds == 0) state = QueryState::kFailed;
+      break;
+    case StopCause::kNone:
+      break;
+  }
+  // Critical memory pressure declined this session's cache builds: it
+  // ran on ephemeral structures (identical estimate, nothing cached for
+  // successors) — a degraded completion, same as a shed run. Never fires
+  // for an ungoverned context.
+  if (session.cache_builds_shed() && result.rounds >= 1) degraded = true;
+  // The session's cache pins go before any waiter wakes.
+  t->session.reset();
+  {
+    std::lock_guard<std::mutex> lock(t->mu);
+    t->run_ms = Millis(TicketState::Clock::now() - t->admit_time);
+  }
+  Retire(t, state, Status::OK(), std::move(result), degraded);
+}
+
+void QueryService::RetireUnrun(const TicketPtr& t) {
+  if (t->cancel.load(std::memory_order_acquire)) {
+    Retire(t, QueryState::kCancelled, Status::OK(), AggregateResult{});
+  } else if (t->deadline.expired()) {
+    Retire(t, QueryState::kDeadlineExceeded, Status::OK(), AggregateResult{});
+  } else {
+    Retire(t, QueryState::kFailed,
+           Status::ResourceExhausted(
+               "shed from admission queue: waited past max_queue_wait_ms"),
+           AggregateResult{}, /*degraded=*/false, /*shed_from_queue=*/true);
+  }
+}
+
 void QueryService::Retire(const TicketPtr& t, QueryState state,
                           Status status, AggregateResult result,
                           bool degraded, bool shed_from_queue) {
@@ -376,9 +535,7 @@ void QueryService::Retire(const TicketPtr& t, QueryState state,
     std::lock_guard<std::mutex> lock(t->mu);
     if (IsTerminalState(t->state)) return;  // first terminal wins
     if (t->state == QueryState::kQueued) {
-      t->queue_ms = std::chrono::duration<double, std::milli>(
-                        now - t->submit_time)
-                        .count();
+      t->queue_ms = Millis(now - t->submit_time);
     }
     t->state = state;
     t->status = std::move(status);
@@ -390,21 +547,20 @@ void QueryService::Retire(const TicketPtr& t, QueryState state,
   t->cv.notify_all();
   if (!callbacks.empty()) {
     // OnTerminal contract: exactly once, outside the ticket lock, with
-    // the terminal snapshot. Callbacks run on this (scheduler) thread,
-    // so they must stay cheap — see QueryTicket::OnTerminal.
+    // the terminal snapshot. Callbacks run on this thread (usually a
+    // pool worker), so they must stay cheap — see QueryTicket::OnTerminal.
     const QueryResponse snapshot = t->Snapshot();
     for (auto& fn : callbacks) fn(snapshot);
   }
+  std::vector<TicketPtr> dead;
   {
     std::lock_guard<std::mutex> lock(mu_);
     --outstanding_;
     if (any_retired_) {
-      const double dt =
-          std::chrono::duration<double, std::milli>(now - last_retire_)
-              .count();
       // EWMA of inter-retirement gaps: the drain rate Retry-After is
-      // computed from. 0.2 weight smooths bursty tick retirements.
-      drain_interval_ms_ = 0.8 * drain_interval_ms_ + 0.2 * dt;
+      // computed from. 0.2 weight smooths bursty retirements.
+      drain_interval_ms_ =
+          0.8 * drain_interval_ms_ + 0.2 * Millis(now - last_retire_);
     }
     any_retired_ = true;
     last_retire_ = now;
@@ -429,279 +585,22 @@ void QueryService::Retire(const TicketPtr& t, QueryState state,
       }
     }
     if (degraded) ++stats_.degraded;
+    // A running ticket hands its slot to the next live queued one.
+    const auto slot = std::find(running_.begin(), running_.end(), t);
+    if (slot != running_.end()) {
+      WatchRoundLocked(*t);
+      running_.erase(slot);
+      SweepQueueLocked(dead);
+      AdmitLocked();
+    }
     UpdateOverloadLocked();
+    // Notified under mu_: the destructor frees the service once nothing
+    // is outstanding, so this must be the round task's last touch of it.
+    drained_.notify_all();
   }
-  drained_.notify_all();
-}
-
-void QueryService::SchedulerLoop() {
-  ThreadPool& pool = GlobalPool();
-
-  struct Active {
-    TicketPtr ticket;
-    std::unique_ptr<QuerySession> session;
-    TicketState::Clock::time_point admit_time;
-  };
-  enum class ReapWhy : uint8_t { kCancel, kDeadline, kShed };
-  struct Reaped {
-    TicketPtr ticket;
-    ReapWhy why;
-  };
-  std::vector<Active> active;
-  std::vector<Reaped> reap;
-
-  for (;;) {
-    // Collect this tick's admissions (and notice shutdown). The wait
-    // predicate reads `active`, but that vector is only ever mutated by
-    // this thread, so the read is race-free.
-    std::vector<TicketPtr> admit;
-    bool shutting_down = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      NoteTickEndLocked();  // close the previous tick before blocking
-      scheduler_waiting_ = true;  // submissions must notify to unpark us
-      wake_.wait(lock, [&] {
-        return shutdown_ || !queue_.empty() || !active.empty();
-      });
-      scheduler_waiting_ = false;
-      tick_start_ = std::chrono::steady_clock::now();
-      tick_in_progress_ = true;
-      shutting_down = shutdown_;
-      if (shutdown_ && queue_.empty() && active.empty()) {
-        running_ = 0;
-        tick_in_progress_ = false;  // the scheduler is gone, not stalled
-        return;
-      }
-      const size_t width = std::max<size_t>(1, options_.max_concurrent);
-      while (active.size() + admit.size() < width && !queue_.empty()) {
-        admit.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      // Sweep the remaining queue for tickets that died waiting —
-      // cancelled, deadline-expired, or queued past max_queue_wait — so
-      // their waiters unblock now rather than at some future admission.
-      // Precedence cancel > deadline > shed: the destructor cancels all
-      // queued tickets, so shutdown outcomes stay deterministic.
-      const auto sweep_now = TicketState::Clock::now();
-      for (size_t i = 0; i < queue_.size();) {
-        const TicketPtr& q = queue_[i];
-        ReapWhy why = ReapWhy::kShed;
-        bool dead = true;
-        if (q->cancel.load(std::memory_order_acquire)) {
-          why = ReapWhy::kCancel;
-        } else if (q->deadline.expired()) {
-          why = ReapWhy::kDeadline;
-        } else if (options_.max_queue_wait_ms > 0.0 &&
-                   std::chrono::duration<double, std::milli>(
-                       sweep_now - q->submit_time)
-                           .count() > options_.max_queue_wait_ms) {
-          why = ReapWhy::kShed;
-        } else {
-          dead = false;
-        }
-        if (dead) {
-          reap.push_back({std::move(queue_[i]), why});
-          queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
-      }
-      UpdateOverloadLocked();  // admission + sweep just drained the queue
-    }
-    for (Reaped& r : reap) {
-      switch (r.why) {
-        case ReapWhy::kCancel:
-          Retire(r.ticket, QueryState::kCancelled, Status::OK(),
-                 AggregateResult{});
-          break;
-        case ReapWhy::kDeadline:
-          Retire(r.ticket, QueryState::kDeadlineExceeded, Status::OK(),
-                 AggregateResult{});
-          break;
-        case ReapWhy::kShed:
-          Retire(r.ticket, QueryState::kFailed,
-                 Status::ResourceExhausted(
-                     "shed from admission queue: waited past "
-                     "max_queue_wait_ms"),
-                 AggregateResult{}, /*degraded=*/false,
-                 /*shed_from_queue=*/true);
-          break;
-      }
-    }
-    reap.clear();
-
-    // Fault point for the shutdown-during-tick regression test: park the
-    // scheduler here so ~QueryService can run mid-tick, then re-read the
-    // shutdown flag so this tick reacts to it instead of a stale snapshot
-    // taken before the stall.
-    if (KGAQ_FAULT_POINT("serve.scheduler.stall")) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutting_down = shutdown_;
-    }
-    if (shutting_down) {
-      for (Active& a : active) {
-        a.ticket->cancel.store(true, std::memory_order_release);
-      }
-    }
-
-    // Pre-admission triage: cancelled or already-expired tickets retire
-    // without ever building a session (their seeds were fixed at
-    // submission, so skipping them shifts no other query's stream).
-    std::vector<TicketPtr> build;
-    for (TicketPtr& t : admit) {
-      if (t->cancel.load(std::memory_order_acquire) || shutting_down) {
-        Retire(t, QueryState::kCancelled, Status::OK(), AggregateResult{});
-      } else if (t->deadline.expired()) {
-        Retire(t, QueryState::kDeadlineExceeded, Status::OK(),
-               AggregateResult{});
-      } else {
-        build.push_back(std::move(t));
-      }
-    }
-
-    // Admission: build the new sessions as one parallel batch (TaskGroup's
-    // helping Wait drains nested fork-join, so this is safe even when the
-    // scheduler itself runs on a pool worker).
-    if (!build.empty()) {
-      // Admission is stamped BEFORE the session builds: queue_ms is pure
-      // queue wait, and a query's own setup cost (candidate enumeration,
-      // cold walk-core builds) bills to its run_ms.
-      const auto admit_time = TicketState::Clock::now();
-      std::vector<std::unique_ptr<QuerySession>> built(build.size());
-      std::vector<Status> build_status(build.size());
-      ParallelFor(pool, build.size(), [&](size_t j) {
-        const TicketPtr& t = build[j];
-        const EngineOptions opts =
-            EffectiveEngineOptions(options_.engine, t->request, t->seed_used);
-        ApproxEngine engine(ctx_, opts);
-        auto session = engine.CreateSession(t->request.query);
-        if (session.ok()) {
-          built[j] = std::move(*session);
-          built[j]->SetStopControl(&t->cancel, t->deadline);
-          built[j]->BeginRun(opts.error_bound);
-        } else {
-          build_status[j] = session.status();
-        }
-      });
-      for (size_t j = 0; j < build.size(); ++j) {
-        if (built[j] == nullptr) {
-          Retire(build[j], QueryState::kFailed, build_status[j],
-                 AggregateResult{});
-          continue;
-        }
-        {
-          std::lock_guard<std::mutex> lock(build[j]->mu);
-          build[j]->state = QueryState::kRunning;
-          build[j]->queue_ms = std::chrono::duration<double, std::milli>(
-                                   admit_time - build[j]->submit_time)
-                                   .count();
-        }
-        active.push_back(
-            {std::move(build[j]), std::move(built[j]), admit_time});
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      running_ = active.size();
-    }
-
-    if (active.empty()) continue;
-
-    // Under Shedding, ask every in-flight session that already holds at
-    // least one completed round to retire with its partial estimate at
-    // the next round boundary. Zero-round sessions are left to finish a
-    // first round so no admitted query ever returns without an answer.
-    bool shedding = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shedding = overload_ == OverloadState::kShedding;
-    }
-    if (shedding) {
-      for (Active& a : active) {
-        if (a.session->rounds_completed() >= 1) a.session->RequestShed();
-      }
-    }
-
-    // One scheduling tick: every unfinished session advances exactly one
-    // Algorithm-2 round, fanned out as a TaskGroup batch over the pool.
-    // Sessions are fully independent (own Rng, own sample) and context
-    // caches are synchronized memo tables over pure functions, so the
-    // interleaving affects wall-clock only — per-query results stay
-    // bitwise-identical to solo runs with the same seed. StepRound itself
-    // re-checks each session's cancel flag and deadline before drawing.
-    ParallelFor(pool, active.size(), [&](size_t a) {
-      if (KGAQ_FAULT_POINT("serve.round.slow")) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      active[a].session->StepRound();
-    });
-
-    // Retire finished sessions; their slots free up for the next tick's
-    // admission. running_ is updated BEFORE the retirements: Retire on
-    // the last outstanding ticket wakes Drain(), and a drainer's stats()
-    // snapshot must not see the retired sessions still counted running.
-    size_t kept = 0;
-    std::vector<Active> finished;
-    for (Active& a : active) {
-      if (!a.session->run_finished()) {
-        active[kept++] = std::move(a);
-      } else {
-        finished.push_back(std::move(a));
-      }
-    }
-    active.resize(kept);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      running_ = active.size();
-    }
-    for (Active& a : finished) {
-      AggregateResult result = a.session->FinishRun();
-      QueryState state = QueryState::kDone;
-      bool degraded = false;
-      switch (a.session->stop_cause()) {
-        case StopCause::kCancelled:
-          state = QueryState::kCancelled;
-          break;
-        case StopCause::kDeadlineExceeded:
-          state = QueryState::kDeadlineExceeded;
-          // A deadline that fired mid-run still hands back everything the
-          // rounds so far earned; only 0-round expiries return empty.
-          degraded = result.rounds >= 1;
-          break;
-        case StopCause::kShed:
-          // Shed sessions complete with a partial answer: state kDone,
-          // degraded flag set, error_bound rewritten to the achieved
-          // bound in Retire.
-          degraded = true;
-          break;
-        case StopCause::kShardLost:
-          // Only federated coordinator sessions can lose a shard; a
-          // QueryService session never installs a RemoteEvaluator. Treated
-          // like shed if it ever fired: partial answer, degraded.
-          degraded = result.rounds >= 1;
-          if (result.rounds == 0) state = QueryState::kFailed;
-          break;
-        case StopCause::kNone:
-          break;
-      }
-      // Critical memory pressure declined this session's cache builds:
-      // it ran on ephemeral structures (identical estimate, nothing
-      // cached for successors) — a degraded completion, same as a shed
-      // run. Never fires for an ungoverned context.
-      if (a.session->cache_builds_shed() && result.rounds >= 1) {
-        degraded = true;
-      }
-      const double run_ms = std::chrono::duration<double, std::milli>(
-                                TicketState::Clock::now() - a.admit_time)
-                                .count();
-      {
-        std::lock_guard<std::mutex> lock(a.ticket->mu);
-        a.ticket->run_ms = run_ms;
-      }
-      Retire(a.ticket, state, Status::OK(), std::move(result), degraded);
-    }
-  }
+  // Swept tickets are still outstanding, which keeps the service alive
+  // until they retire.
+  for (const TicketPtr& d : dead) RetireUnrun(d);
 }
 
 std::vector<Result<AggregateResult>> QueryService::RunBatch(

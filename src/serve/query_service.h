@@ -1,6 +1,7 @@
 #ifndef KGAQ_SERVE_QUERY_SERVICE_H_
 #define KGAQ_SERVE_QUERY_SERVICE_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -8,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/deadline.h"
@@ -54,7 +54,7 @@ struct ServiceOptions {
   /// StatusCode::kResourceExhausted (ticket lands terminal kFailed,
   /// never queued; the HTTP front-end answers 429 + Retry-After).
   size_t max_queue_depth = 0;
-  /// Maximum time a ticket may wait in the queue before the scheduler
+  /// Maximum time a ticket may wait in the queue before the service
   /// sheds it (kFailed + kResourceExhausted, counted in stats().shed).
   /// 0 means wait forever. A shed-in-queue query never ran, so it holds
   /// no partial estimate — bound queue *depth* too if you want arrivals
@@ -67,11 +67,12 @@ struct ServiceOptions {
   double saturated_exit = 0.25;
   double shedding_enter = 0.90;
   double shedding_exit = 0.50;
-  /// Scheduler watchdog: a tick (one admit + step + retire cycle) that
-  /// runs longer than this logs a debug warning to stderr and counts in
-  /// stats().watchdog_stalls; stats().last_tick_age_ms exposes the age
-  /// of the tick currently in progress so an operator probing /stats can
-  /// see a stall while it is happening. 0 disables the warning.
+  /// Round watchdog: a round (one query's session build or Algorithm-2
+  /// round, on a pool worker) that runs longer than this logs a debug
+  /// warning to stderr and counts in stats().watchdog_stalls;
+  /// stats().last_tick_age_ms exposes the age of the oldest round in
+  /// progress so an operator probing /stats can see a stall while it is
+  /// happening. 0 disables the warning.
   double watchdog_warn_ms = 1000.0;
   /// Per-query engine configuration. A request's overrides (error bound,
   /// confidence, seed, max rounds) are applied on top; the `seed` field is
@@ -154,7 +155,7 @@ struct QueryResponse {
 ///   auto resp = ticket.Wait();  // blocks until terminal
 ///
 /// All members are safe to call from any thread, concurrently with the
-/// scheduler and with each other. A ticket keeps its state alive
+/// query's rounds and with each other. A ticket keeps its state alive
 /// independently of the service, so Wait/Poll stay valid even after the
 /// service is destroyed (outstanding queries are cancelled then).
 class QueryTicket {
@@ -182,12 +183,12 @@ class QueryTicket {
 
   /// Registers a completion callback: `fn` is invoked exactly once with
   /// the terminal QueryResponse — immediately (on the calling thread) if
-  /// the ticket is already terminal, otherwise from the scheduler thread
-  /// at retirement. Callbacks must be cheap and non-blocking (post to a
-  /// queue, signal an eventfd): they run inside the scheduler's retire
-  /// path. This is the push half of the ticket API — the HTTP front-end's
-  /// event loops use it to answer long-poll result fetches without
-  /// parking a thread per waiter.
+  /// the ticket is already terminal, otherwise at retirement, usually on
+  /// the GlobalPool() worker that ran the query's last round. Callbacks
+  /// must be cheap and non-blocking (post to a queue, signal an eventfd):
+  /// they hold that worker. This is the push half of the ticket API — the
+  /// HTTP front-end's event loops use it to answer long-poll result
+  /// fetches without parking a thread per waiter.
   void OnTerminal(std::function<void(const QueryResponse&)> fn);
 
  private:
@@ -210,13 +211,15 @@ class QueryTicket {
 ///   t2.Cancel();                                    // or let it expire
 ///   QueryResponse r1 = t1.Wait();                   // by value, stable
 ///
-/// Scheduling: a background scheduler thread owns the run loop. Admitted
-/// sessions advance in lockstep "ticks": each tick admits queued queries
-/// into free slots (up to max_concurrent), submits one Algorithm-2 round
-/// per unfinished session as a TaskGroup batch on GlobalPool(), joins,
-/// and retires finished / cancelled / expired sessions. Submission never
-/// blocks on running queries — SubmitAsync while a run is in flight just
-/// queues the ticket and wakes the scheduler.
+/// Scheduling: every admitted query drives its own rounds. A ticket takes
+/// a free slot (up to max_concurrent) at submission or when a running
+/// query retires, and becomes a task on GlobalPool(): the task builds the
+/// session (first run only), executes one Algorithm-2 round, and posts
+/// itself again until the run finishes, then retires the ticket and hands
+/// its slot to the next queued one. Queries never wait on each other's
+/// rounds, and submission never blocks on running queries. Nothing may
+/// block a pool worker on a QueryTicket: the round tasks need free
+/// workers.
 ///
 /// Determinism: each session owns its Rng (seeded from QuerySeed of the
 /// submission index, or the request's pinned seed) and every context
@@ -244,8 +247,9 @@ class QueryService {
   explicit QueryService(std::shared_ptr<const EngineContext> context,
                         ServiceOptions options = {});
 
-  /// Cancels every outstanding query, drains the scheduler, and joins it.
-  /// Call Drain() first for a graceful end-of-life.
+  /// Cancels every outstanding query and waits until no round task refers
+  /// to the service any more — at most one round per running query. Call
+  /// Drain() first for a graceful end-of-life.
   ~QueryService();
 
   QueryService(const QueryService&) = delete;
@@ -263,14 +267,14 @@ class QueryService {
   QueryTicket SubmitAsync(QueryRequest request);
 
   /// Batching shim for high-QPS front doors: submits a whole wave of
-  /// requests under ONE lock acquisition and at most ONE scheduler
-  /// wakeup, so N requests arriving within one event-loop drain cycle
-  /// cost one admission wave instead of N per-request wakeups. Tickets
-  /// come back in request order with consecutive submission indices —
-  /// identical ids, seeds, and admission decisions to submitting the
-  /// same requests one by one (tested in serve_test.cc). Rejections
-  /// (queue full / shedding / shutdown) are evaluated per request, in
-  /// order, exactly as SubmitAsync would.
+  /// requests under ONE lock acquisition, so N requests arriving within
+  /// one event-loop drain cycle cost one admission wave instead of N
+  /// lock round trips. Tickets come back in request order with
+  /// consecutive submission indices — identical ids, seeds, and
+  /// admission decisions to submitting the same requests one by one
+  /// (tested in serve_test.cc). Rejections (queue full / shedding /
+  /// shutdown) are evaluated per request, in order, exactly as
+  /// SubmitAsync would.
   std::vector<QueryTicket> SubmitBatch(std::vector<QueryRequest> requests);
 
   /// Number of queries submitted so far.
@@ -301,16 +305,13 @@ class QueryService {
     /// queue drain rate (EWMA of inter-retirement gaps x queue depth).
     /// The HTTP front-end rounds this up into 429 Retry-After.
     double retry_after_ms = 0.0;
-    /// Scheduler wakeups actually signalled by submissions. Wakeups are
-    /// coalesced: a submission only notifies when the scheduler is
-    /// parked, and SubmitBatch signals at most once per wave, so under a
-    /// high-QPS front door this grows far slower than `submitted` (the
-    /// tick-batching shim at work — compare the two to see it).
+    /// Round tasks posted to GlobalPool(), each waking one worker: one
+    /// per round of every admitted query (its session build rides on the
+    /// first), so per query this tracks the rounds it ran.
     uint64_t scheduler_wakeups = 0;
-    /// Scheduler watchdog (see ServiceOptions::watchdog_warn_ms): age of
-    /// the tick currently in progress (0 when the scheduler is idle or
-    /// between ticks), and how many ticks have stalled past the
-    /// threshold since construction.
+    /// Round watchdog (see ServiceOptions::watchdog_warn_ms): age of the
+    /// oldest round in progress (0 when no round is running), and how
+    /// many rounds have stalled past the threshold since construction.
     double last_tick_age_ms = 0.0;
     uint64_t watchdog_stalls = 0;
     /// Memory-pressure state of the shared EngineContext budget (always
@@ -342,22 +343,41 @@ class QueryService {
  private:
   using TicketPtr = std::shared_ptr<serve_internal::TicketState>;
 
-  void SchedulerLoop();
-  /// Marks `t` terminal under its own lock and updates service counters.
-  /// `degraded` tags the response as a degraded partial (see
-  /// QueryResponse::degraded) and rewrites result.error_bound to the
-  /// achieved bound; `shed_from_queue` routes the kFailed count into
-  /// stats().shed instead of stats().failed.
+  /// One round task of admitted ticket `t`: builds its session on the
+  /// first run, executes one Algorithm-2 round, then posts itself again
+  /// or retires `t`.
+  void RunRound(const TicketPtr& t);
+  /// Retires a finished session's ticket with its (partial) result.
+  void Finish(const TicketPtr& t);
+  /// Marks `t` terminal under its own lock and updates service counters;
+  /// a running ticket also frees its slot for the next queued one. Its
+  /// last touch of the service is under mu_, so the destructor may free
+  /// the service as soon as no ticket is outstanding. `degraded` tags the
+  /// response as a degraded partial (see QueryResponse::degraded) and
+  /// rewrites result.error_bound to the achieved bound; `shed_from_queue`
+  /// routes the kFailed count into stats().shed instead of
+  /// stats().failed.
   void Retire(const TicketPtr& t, QueryState state, Status status,
               AggregateResult result, bool degraded = false,
               bool shed_from_queue = false);
+  /// Retires `t`, which never ran a round: cancelled, deadline-expired,
+  /// or else shed for out-waiting max_queue_wait_ms (in that
+  /// precedence, so shutdown outcomes stay deterministic).
+  void RetireUnrun(const TicketPtr& t);
+  /// Moves queued tickets into free slots and posts their first round.
+  /// Caller holds mu_.
+  void AdmitLocked();
+  /// Moves queued tickets that died waiting (cancelled, expired, or past
+  /// max_queue_wait_ms) into `dead`, for RetireUnrun once mu_ is
+  /// released. Caller holds mu_.
+  void SweepQueueLocked(std::vector<TicketPtr>& dead);
+  /// Age in ms of `t`'s round in progress (0 between rounds); counts and
+  /// logs a watchdog stall the first time the round passes
+  /// watchdog_warn_ms. Caller holds mu_.
+  double WatchRoundLocked(serve_internal::TicketState& t) const;
   /// Re-evaluates the overload state machine from the current queue
   /// depth. Caller holds mu_.
   void UpdateOverloadLocked();
-  /// Closes the scheduler tick in progress: warns + counts a watchdog
-  /// stall when it overran watchdog_warn_ms (unless a concurrent stats()
-  /// probe already did). Caller holds mu_.
-  void NoteTickEndLocked();
   /// Suggested client backoff from the drain-rate EWMA. Caller holds mu_.
   double RetryAfterMsLocked() const;
 
@@ -365,13 +385,11 @@ class QueryService {
   ServiceOptions options_;
 
   mutable std::mutex mu_;
-  std::condition_variable wake_;     ///< wakes the scheduler
   std::condition_variable drained_;  ///< signalled as tickets retire
   std::deque<TicketPtr> queue_;      ///< submitted, not yet admitted
+  std::vector<TicketPtr> running_;   ///< admitted; each owns a round task
   size_t next_index_ = 0;            ///< submission counter (ids + seeds)
   size_t outstanding_ = 0;           ///< non-terminal tickets
-  size_t running_ = 0;               ///< admitted by the scheduler
-  bool scheduler_waiting_ = false;   ///< parked in wake_.wait (coalescing)
   bool shutdown_ = false;
   ServiceStats stats_;
   OverloadState overload_ = OverloadState::kHealthy;
@@ -380,14 +398,9 @@ class QueryService {
   double drain_interval_ms_ = 0.0;
   std::chrono::steady_clock::time_point last_retire_;
   bool any_retired_ = false;
-  /// Scheduler watchdog state (guarded by mu_). `tick_warned_` and
-  /// `watchdog_stalls_` are mutable because a stats() probe may be the
-  /// first observer of a stall still in progress and records it there.
-  std::chrono::steady_clock::time_point tick_start_;
-  bool tick_in_progress_ = false;
-  mutable bool tick_warned_ = false;
+  /// Mutable because a stats() probe may be the first observer of a
+  /// stalled round and counts it there.
   mutable uint64_t watchdog_stalls_ = 0;
-  std::thread scheduler_;  ///< started lazily on first submission
 };
 
 /// The engine configuration a request runs under: `defaults` with the

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <thread>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -428,11 +429,20 @@ QueryResponse Coordinator::ExecuteFederated(const QueryRequest& request,
     }
   }
 
+  // Each leg blocks until its shard's QueryTicket retires, so the legs
+  // run on threads of their own: a pool worker parked on a ticket would
+  // hold back the round tasks that retire it.
   std::vector<Result<QueryResponse>> replies(
       legs.size(), Result<QueryResponse>(QueryResponse{}));
-  ParallelFor(GlobalPool(), legs.size(), [&](size_t i) {
-    replies[i] = channels_[legs[i].shard]->SubQuery(legs[i].request);
-  });
+  {
+    std::vector<std::jthread> leg_threads;  // joined at scope exit
+    leg_threads.reserve(legs.size());
+    for (size_t i = 0; i < legs.size(); ++i) {
+      leg_threads.emplace_back([&, i] {
+        replies[i] = channels_[legs[i].shard]->SubQuery(legs[i].request);
+      });
+    }
+  }
 
   // A leg is usable when it reached the shard AND came back with an
   // estimate: done, or deadline-expired after at least one round.

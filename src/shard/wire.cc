@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <utility>
 
 #include "query/query_text.h"
 
@@ -16,6 +17,16 @@ void AppendI64(std::string& out, int64_t v) { out += std::to_string(v); }
 bool ParseU64(std::string_view s, uint64_t& v) {
   auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   return ec == std::errc() && p == s.data() + s.size();
+}
+
+/// Parses an unsigned decimal into integer `field`; false when it is
+/// malformed or does not fit the field's type.
+template <typename T>
+bool ParseInto(std::string_view s, T& field) {
+  uint64_t v = 0;
+  if (!ParseU64(s, v) || !std::in_range<T>(v)) return false;
+  field = static_cast<T>(v);
+  return true;
 }
 
 bool ParseI64(std::string_view s, int64_t& v) {
@@ -105,16 +116,12 @@ void AppendEngineOptions(std::string& out, const EngineOptions& o) {
 
 /// Applies one `o.*` line onto `o`; unknown keys are ignored (forward
 /// compatibility: an older shard keeps its defaults for fields it does
-/// not know). Returns false only on an unparsable value.
+/// not know). Returns false only on an unparsable value or one that does
+/// not fit its field.
 bool ApplyEngineOption(std::string_view key, std::string_view val,
                        EngineOptions& o) {
   auto d = [&val](double& field) { return ParseF64(val, field); };
-  auto u = [&val](auto& field) {
-    uint64_t v = 0;
-    if (!ParseU64(val, v)) return false;
-    field = static_cast<std::remove_reference_t<decltype(field)>>(v);
-    return true;
-  };
+  auto u = [&val](auto& field) { return ParseInto(val, field); };
   auto b = [&val](bool& field) {
     uint64_t v = 0;
     if (!ParseU64(val, v)) return false;
@@ -233,14 +240,15 @@ Result<ShardPlanResult> DecodePlanResult(std::string_view body) {
     }
     if (key == "count") return ParseU64(val, count);
     if (key == "c") {
-      uint64_t index = 0, node = 0;
+      uint64_t index = 0;
+      NodeId node = 0;
       double prob = 0.0;
       if (!ParseU64(TakeField(val), index) ||
-          !ParseU64(TakeField(val), node) || !ParseF64(val, prob)) {
+          !ParseInto(TakeField(val), node) || !ParseF64(val, prob)) {
         return false;
       }
       res.indices.push_back(index);
-      res.nodes.push_back(static_cast<NodeId>(node));
+      res.nodes.push_back(node);
       res.probs.push_back(prob);
       return true;
     }
@@ -274,9 +282,9 @@ Result<ShardValidateRequest> DecodeValidateRequest(std::string_view body) {
     if (key == "token") return ParseU64(val, req.token);
     if (key == "count") return ParseU64(val, count);
     if (key == "i") {
-      uint64_t v = 0;
-      if (!ParseU64(val, v)) return false;
-      req.indices.push_back(static_cast<size_t>(v));
+      size_t v = 0;
+      if (!ParseInto(val, v)) return false;
+      req.indices.push_back(v);
       return true;
     }
     return true;
@@ -395,9 +403,9 @@ Result<QueryRequest> DecodeQueryRequest(std::string_view body) {
       return true;
     }
     if (key == "max_rounds") {
-      uint64_t v = 0;
-      if (!ParseU64(val, v)) return false;
-      req.max_rounds = static_cast<size_t>(v);
+      size_t v = 0;
+      if (!ParseInto(val, v)) return false;
+      req.max_rounds = v;
       return true;
     }
     if (key == "deadline_ms") return ParseF64(val, req.deadline_ms);
@@ -472,12 +480,7 @@ Result<QueryResponse> DecodeQueryResponse(std::string_view body) {
   std::string message;
   const bool ok = ForEachLine(body, [&](std::string_view key,
                                         std::string_view val) {
-    auto u64 = [&val](auto& field) {
-      uint64_t v = 0;
-      if (!ParseU64(val, v)) return false;
-      field = static_cast<std::remove_reference_t<decltype(field)>>(v);
-      return true;
-    };
+    auto u64 = [&val](auto& field) { return ParseInto(val, field); };
     auto f64 = [&val](double& field) { return ParseF64(val, field); };
     auto flag = [&val](bool& field) {
       uint64_t v = 0;

@@ -189,6 +189,15 @@ TEST_F(HttpServerTest, OverridesDeadlineAndCancelWork) {
   auto bad = Fetch("POST", "/query?eb=banana", text);
   ASSERT_TRUE(bad.ok());
   EXPECT_EQ(bad->status_code, 400);
+  // So is an eb or conf no run can honour: eb must be finite and > 0,
+  // conf finite and strictly between 0 and 1.
+  for (const std::string params :
+       {"eb=nan", "eb=inf", "eb=-inf", "eb=0", "eb=-0.05", "conf=nan",
+        "conf=inf", "conf=0", "conf=1", "conf=1.5"}) {
+    auto r = Fetch("POST", "/query?" + params, text);
+    ASSERT_TRUE(r.ok()) << params;
+    EXPECT_EQ(r->status_code, 400) << params << ": " << r->body;
+  }
   // Unknown parameter → 400.
   auto unknown = Fetch("POST", "/query?speed=9", text);
   ASSERT_TRUE(unknown.ok());
@@ -244,7 +253,7 @@ TEST_F(HttpServerTest, StatsExposeServiceAndCacheState) {
             std::string::npos)
       << body;
   // Governance surface: the governor object (an unbounded context still
-  // reports its zero budget and counters), the scheduler watchdog, and
+  // reports its zero budget and counters), the round watchdog, and
   // the memory-pressure state.
   EXPECT_NE(body.find("\"governor\""), std::string::npos) << body;
   EXPECT_EQ(JsonField(body, "budget_bytes"), "0") << body;

@@ -1,7 +1,7 @@
 /// End-to-end tests of the memory-governed engine caches: bitwise
 /// parity under tiny budgets and concurrent eviction, epoch pinning
 /// across cache thrash, Critical-pressure build shedding surfacing as
-/// degraded responses, and the scheduler watchdog.
+/// degraded responses, and the round watchdog.
 
 #include <gtest/gtest.h>
 
@@ -224,10 +224,10 @@ TEST(MemoryGovernanceTest, CriticalPressureShedsBuildsAndMarksDegraded) {
   EXPECT_EQ(stats.pressure, MemoryPressure::kHealthy);
 }
 
-// The scheduler watchdog notices ticks that exceed watchdog_warn_ms
-// (here: every tick, via the injected 10ms stall) and counts them in
+// The round watchdog notices rounds that exceed watchdog_warn_ms
+// (here: every round, via the injected 10ms stall) and counts them in
 // ServiceStats.
-TEST(MemoryGovernanceTest, WatchdogCountsStalledSchedulerTicks) {
+TEST(MemoryGovernanceTest, WatchdogCountsStalledRounds) {
   fault_injection::Reset();
   fault_injection::Enable(7);
   fault_injection::Arm("serve.scheduler.stall", 1.0);

@@ -403,24 +403,37 @@ TEST(AsyncQueryServiceTest, WaitForTimesOutOnLiveQueryThenResolves) {
   EXPECT_EQ(resp->state, QueryState::kCancelled);
 }
 
+// Teardown races the round tasks: each cycle destroys a service while
+// one query is mid-run, others may have a round task not yet started,
+// and two wait in the queue. A round task that outlived its service
+// would hang the destructor or touch freed memory (the tsan job runs
+// this suite).
 TEST(AsyncQueryServiceTest, DestructorCancelsOutstandingWork) {
   const auto& ds = MiniDataset();
   auto ctx = std::make_shared<EngineContext>(ds.graph(),
                                              ds.reference_embedding());
-  QueryTicket running, queued;
-  {
-    ServiceOptions sopts = LongRunServiceOptions();
-    sopts.max_concurrent = 1;
-    QueryService service(ctx, sopts);
-    running = service.SubmitAsync(UnsatisfiableRequest(ds));
-    queued = service.SubmitAsync(UnsatisfiableRequest(ds));
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    std::vector<QueryTicket> tickets;
+    {
+      ServiceOptions sopts = LongRunServiceOptions();
+      sopts.max_concurrent = 4;
+      QueryService service(ctx, sopts);
+      for (int i = 0; i < 6; ++i) {
+        tickets.push_back(service.SubmitAsync(UnsatisfiableRequest(ds)));
+      }
+      while (tickets[0].Poll().state == QueryState::kQueued) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    // Tickets outlive the service; all were cancelled by teardown.
+    for (size_t i = 0; i < tickets.size(); ++i) {
+      EXPECT_EQ(tickets[i].Poll().state, QueryState::kCancelled)
+          << "cycle " << cycle << ", query " << i;
+    }
   }
-  // Tickets outlive the service; both were cancelled by teardown.
-  EXPECT_EQ(running.Poll().state, QueryState::kCancelled);
-  EXPECT_EQ(queued.Poll().state, QueryState::kCancelled);
 }
 
-// The tick-batching contract behind the HTTP front door: a whole wave
+// The batching contract behind the HTTP front door: a whole wave
 // submitted through SubmitBatch gets the same ids, derived seeds, and
 // bitwise-identical results as the same requests submitted one by one —
 // batching is an admission optimization, never a semantic change.

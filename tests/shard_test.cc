@@ -14,6 +14,7 @@
 #include "common/fault_injection.h"
 #include "common/random.h"
 #include "common/shard_hash.h"
+#include "common/thread_pool.h"
 #include "core/engine_context.h"
 #include "datagen/kg_generator.h"
 #include "datagen/workload_generator.h"
@@ -723,6 +724,30 @@ TEST(FederatedModeTest, AvgRunsTwoLegsPerShard) {
   }
 }
 
+// A federated leg blocks on its shard's ticket, whose rounds run as
+// GlobalPool() tasks. With more legs than pool workers, legs parked on
+// pool workers would leave no worker for those rounds, and the query
+// would hang.
+TEST(FederatedModeTest, MoreLegsThanPoolWorkersCompletes) {
+  const auto& ds = MiniDataset();
+  const size_t workers = GlobalPool().num_threads();
+  ShardedEngineOptions opts;
+  opts.num_shards = workers / 2 + 1;  // AVG: two legs per shard
+  opts.mode = ShardMode::kFederated;
+  opts.base_seed = kBaseSeed;
+  auto engine =
+      ShardedEngine::Create(ds.graph(), ds.reference_embedding(), opts);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+
+  QueryRequest req;
+  req.query = MixedWorkload()[1];  // AVG
+  QueryResponse resp = (*engine)->Execute(req);
+  ASSERT_EQ(resp.state, QueryState::kDone) << resp.status;
+  uint64_t legs = 0;
+  for (const auto& ss : (*engine)->shard_stats()) legs += ss.submitted;
+  EXPECT_GE(legs, workers + 1);
+}
+
 TEST(FederatedModeTest, MaxIsBestEffortWithoutGuarantee) {
   const auto& ds = MiniDataset();
   ShardedEngineOptions opts;
@@ -845,6 +870,30 @@ TEST(ShardWireTest, QueryRequestAndResponseRoundTrip) {
   Status rerr = DecodeError(EncodeError(err));
   EXPECT_EQ(rerr.code(), err.code());
   EXPECT_EQ(rerr.message(), err.message());
+}
+
+// Wire integers are unsigned decimals. A value that does not fit its
+// field is rejected, never narrowed: n_hops would decode as -1,
+// repeat_factor as 0, and the node id as node 1.
+TEST(ShardWireTest, OutOfRangeIntegersAreRejected) {
+  ShardPlanRequest plan_request;
+  plan_request.query = MixedWorkload()[3];
+  const std::string plan_body = EncodePlanRequest(plan_request);
+  ASSERT_TRUE(DecodePlanRequest(plan_body).ok());
+  for (const std::string line : {"o.branch.n_hops=18446744073709551615\n",
+                                 "o.branch.repeat_factor=4294967296\n"}) {
+    auto decoded = DecodePlanRequest(plan_body + line);
+    ASSERT_FALSE(decoded.ok()) << line;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+
+  const std::string plan_head = "token=1\nnc=1\ngroup_by=0\ncount=1\n";
+  auto widest = DecodePlanResult(plan_head + "c=0 4294967295 0.5\n");
+  ASSERT_TRUE(widest.ok()) << widest.status();
+  EXPECT_EQ(widest->nodes, std::vector<NodeId>{4294967295u});
+  auto too_wide = DecodePlanResult(plan_head + "c=0 4294967297 0.5\n");
+  ASSERT_FALSE(too_wide.ok());
+  EXPECT_EQ(too_wide.status().code(), StatusCode::kInvalidArgument);
 }
 
 // Decodes one (possibly mutated) body. A decoder either rejects it with
